@@ -41,7 +41,7 @@ comes from :attr:`data_layout` (the base layout itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from .striping import Extent, StripeLayout
 
@@ -188,9 +188,17 @@ class ErasureCodedLayout:
 
     def groups_for(self, offset: int, length: int) -> List[int]:
         """Stripe groups an extent touches, ascending."""
-        return sorted(
-            {e.stripe_index // self.k for e in self.base.extents(offset, length)}
-        )
+        first, last = self.base.stripe_span(offset, length)
+        return list(range(first // self.k, last // self.k + 1)) if length else []
+
+    def _pieces(self, offset: int, length: int) -> Iterator[Tuple[int, int, int]]:
+        """``(stripe, lo, hi)`` for every stripe the extent touches, in
+        order: ``[lo, hi)`` is the intra-stripe byte range it covers."""
+        first, last = self.base.stripe_span(offset, length)
+        ss = self.stripe_size
+        for stripe in range(first, last + 1) if length else ():
+            at = stripe * ss
+            yield stripe, max(offset - at, 0), min(offset + length - at, ss)
 
     # -- the parity-update write model -------------------------------------
     def _group_ranges(
@@ -198,10 +206,8 @@ class ErasureCodedLayout:
     ) -> Dict[int, List[Tuple[int, int]]]:
         """Per-group intra-stripe byte ranges the extent writes."""
         ranges: Dict[int, List[Tuple[int, int]]] = {}
-        for e in self.base.extents(offset, length):
-            g = e.stripe_index // self.k
-            lo = e.offset - e.stripe_index * self.stripe_size
-            ranges.setdefault(g, []).append((lo, lo + e.length))
+        for stripe, lo, hi in self._pieces(offset, length):
+            ranges.setdefault(stripe // self.k, []).append((lo, hi))
         return ranges
 
     @staticmethod
@@ -298,12 +304,9 @@ class ErasureCodedLayout:
         lost_set = set(lost)
         avoid_set = set(avoid) | lost_set
         per_group: Dict[int, List[Tuple[int, int]]] = {}
-        for e in self.base.extents(offset, length):
-            if e.ost not in lost_set:
-                continue
-            g = e.stripe_index // self.k
-            lo = e.offset - e.stripe_index * self.stripe_size
-            per_group.setdefault(g, []).append((lo, lo + e.length))
+        for stripe, lo, hi in self._pieces(offset, length):
+            if self.base.ost_of_stripe(stripe) in lost_set:
+                per_group.setdefault(stripe // self.k, []).append((lo, hi))
         out: List[ReconstructionStep] = []
         for g, ranges in sorted(per_group.items()):
             survivors = [d for d in self.group_osts(g) if d not in avoid_set]

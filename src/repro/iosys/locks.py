@@ -53,21 +53,25 @@ class ExtentLockTracker:
         """
         if length <= 0:
             return 0.0
+        first, last = layout.stripe_span(offset, length)
+        ss = layout.stripe_size
+        # only the head and the tail stripe can be partially covered
+        head_full = offset % ss == 0
+        tail_full = (offset + length) % ss == 0
+        owners = self._owner
         penalty = 0.0
-        for ext in layout.extents(offset, length):
-            stripe = ext.stripe_index
-            owner = self._owner.get(stripe)
+        for stripe in range(first, last + 1):
+            owner = owners.get(stripe)
             if owner is None:
                 self.grants += 1
             elif owner != client:
                 self.revocations += 1
-                full = (
-                    ext.offset == stripe * layout.stripe_size
-                    and ext.length == layout.stripe_size
+                full = (stripe > first or head_full) and (
+                    stripe < last or tail_full
                 )
                 discount = full_stripe_discount if full else 1.0
                 penalty += self.revoke_cost * scale * discount
-            self._owner[stripe] = client
+            owners[stripe] = client
         return penalty
 
     def owner_of(self, stripe: int) -> Optional[int]:

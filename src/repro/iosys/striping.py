@@ -61,10 +61,25 @@ class StripeLayout:
             raise ValueError("offset must be non-negative")
         return offset // self.stripe_size
 
-    def extents(self, offset: int, length: int) -> List[Extent]:
-        """Split ``[offset, offset+length)`` into per-stripe extents."""
+    def stripe_span(self, offset: int, length: int) -> Tuple[int, int]:
+        """First and last stripe index ``[offset, offset+length)`` touches.
+
+        The closed-form core of every per-extent query, so all of them
+        reject negative input with the same error.  The pair means
+        nothing for an empty extent."""
         if offset < 0 or length < 0:
             raise ValueError("offset/length must be non-negative")
+        return (
+            offset // self.stripe_size,
+            (offset + length - 1) // self.stripe_size,
+        )
+
+    def extents(self, offset: int, length: int) -> List[Extent]:
+        """Split ``[offset, offset+length)`` into per-stripe extents.
+
+        An inspection API: the simulator's queries below are closed-form
+        and never build these records."""
+        self.stripe_span(offset, length)  # validates
         out: List[Extent] = []
         pos = offset
         end = offset + length
@@ -84,58 +99,68 @@ class StripeLayout:
         return out
 
     def bytes_per_ost(self, offset: int, length: int) -> Dict[int, int]:
-        """Total bytes an extent sends to each OST."""
+        """Total bytes an extent sends to each OST, keyed in stripe order.
+
+        Closed form: the ``n`` touched stripes deal round-robin onto
+        ``min(n, stripe_count)`` distinct devices.  The ``i``-th holds
+        ``n // stripe_count`` stripes, plus one while
+        ``i < n % stripe_count``, less the uncovered head of the first
+        stripe (``i == 0``) and the uncovered tail of the last
+        (``i == (n-1) % stripe_count``).
+        """
+        first, last = self.stripe_span(offset, length)
+        if length == 0:
+            return {}
+        ss, sc = self.stripe_size, self.stripe_count
+        start, n_osts = self.start_ost, self.n_osts
+        if first == last:  # single-stripe extent: the common case
+            return {(start + first % sc) % n_osts: length}
+        n = last - first + 1
+        rounds, extra = divmod(n, sc)
+        tail_dev = (n - 1) % sc
         acc: Dict[int, int] = {}
-        for ext in self.extents(offset, length):
-            acc[ext.ost] = acc.get(ext.ost, 0) + ext.length
+        for i in range(min(n, sc)):
+            nbytes = (rounds + (i < extra)) * ss
+            if i == 0:
+                nbytes -= offset - first * ss
+            if i == tail_dev:
+                nbytes -= (last + 1) * ss - offset - length
+            acc[(start + (first + i) % sc) % n_osts] = nbytes
         return acc
 
     def osts_touched(self, offset: int, length: int) -> Tuple[int, ...]:
-        """The devices an extent touches, in stripe order -- the cheap
-        footprint query (pure integer math, no per-extent records) for
-        callers that need the set but not the byte split."""
-        if length <= 0:
+        """The devices an extent touches, in stripe order, for callers
+        that need the set but not the byte split.  They are pairwise
+        distinct because ``stripe_count <= n_osts``."""
+        first, last = self.stripe_span(offset, length)
+        if length == 0:
             return ()
-        first = offset // self.stripe_size
-        last = (offset + length - 1) // self.stripe_size
-        if first == last:  # single-stripe extent: the overwhelmingly
-            return (       # common case on record-sized workloads
-                (self.start_ost + first % self.stripe_count) % self.n_osts,
-            )
-        nstripes = last - first + 1
-        out = []
-        seen = set()
-        for k in range(first, first + min(nstripes, self.stripe_count)):
-            ost = self.ost_of_stripe(k)
-            if ost not in seen:
-                seen.add(ost)
-                out.append(ost)
-        return tuple(out)
+        start, sc, n_osts = self.start_ost, self.stripe_count, self.n_osts
+        return tuple(
+            (start + k % sc) % n_osts
+            for k in range(first, first + min(last - first + 1, sc))
+        )
 
     def boundary_crossings(self, offset: int, length: int) -> int:
         """Number of stripe boundaries strictly inside the extent."""
-        if length <= 0:
-            return 0
-        first = offset // self.stripe_size
-        last = (offset + length - 1) // self.stripe_size
-        return last - first
+        first, last = self.stripe_span(offset, length)
+        return last - first if length else 0
 
     def partial_stripes(self, offset: int, length: int) -> int:
         """Stripes touched but not fully covered by the extent.
 
         A write to a partial stripe forces the server to read-modify-write
         the stripe (or take a sub-stripe lock), which is the mechanism the
-        GCRM alignment optimization removes.
+        GCRM alignment optimization removes.  Only the head and the tail
+        stripe can be partial.
         """
-        if length <= 0:
+        first, last = self.stripe_span(offset, length)
+        if length == 0:
             return 0
-        n = 0
-        for ext in self.extents(offset, length):
-            stripe_start = ext.stripe_index * self.stripe_size
-            full = ext.offset == stripe_start and ext.length == self.stripe_size
-            if not full:
-                n += 1
-        return n
+        ragged = (offset % self.stripe_size != 0) + (
+            (offset + length) % self.stripe_size != 0
+        )
+        return min(ragged, 1) if first == last else ragged
 
     def is_aligned(self, offset: int, length: int) -> bool:
         """True when the extent starts and ends on stripe boundaries."""
@@ -146,6 +171,8 @@ class StripeLayout:
 
     def rpcs_for(self, length: int, rpc_size: int) -> int:
         """Number of bulk RPCs needed to move ``length`` bytes."""
+        if rpc_size <= 0:
+            raise ValueError(f"rpc_size must be positive: {rpc_size}")
         if length <= 0:
             return 0
         return (length + rpc_size - 1) // rpc_size

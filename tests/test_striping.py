@@ -90,6 +90,22 @@ class TestCounts:
         assert lo.rpcs_for(MiB, MiB) == 1
         assert lo.rpcs_for(MiB + 1, MiB) == 2
 
+    def test_rpcs_for_rejects_non_positive_rpc_size(self):
+        lo = layout()
+        for rpc_size in (0, -MiB):
+            with pytest.raises(ValueError, match="rpc_size must be positive"):
+                lo.rpcs_for(MiB, rpc_size)
+
+    @pytest.mark.parametrize(
+        "query",
+        ["extents", "bytes_per_ost", "osts_touched", "boundary_crossings",
+         "partial_stripes", "stripe_span"],
+    )
+    @pytest.mark.parametrize("offset,length", [(-5, 10), (0, -3), (-1, 0)])
+    def test_negative_input_same_error_everywhere(self, query, offset, length):
+        with pytest.raises(ValueError, match="offset/length must be non-negative"):
+            getattr(layout(), query)(offset, length)
+
     def test_bytes_per_ost_totals(self):
         lo = layout(stripe_count=2, n_osts=4)
         per = lo.bytes_per_ost(0, 5 * MiB)

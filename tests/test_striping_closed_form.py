@@ -1,0 +1,239 @@
+"""Differential tests: closed-form stripe arithmetic vs the extent walk.
+
+``StripeLayout.bytes_per_ost``/``partial_stripes``, the extent-lock
+tracker, and the erasure-coded group walk compute from stripe indices
+alone.  The per-stripe ``Extent`` walk they replaced is kept here as the
+oracle, and Hypothesis checks the two agree exactly: same dicts in the
+same key order, same counters, bit-identical penalty floats.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.iosys.erasure import ErasureCodedLayout
+from repro.iosys.locks import ExtentLockTracker
+from repro.iosys.striping import StripeLayout
+
+# -- the oracle: everything derived from StripeLayout.extents -------------------
+
+
+def oracle_bytes_per_ost(lay: StripeLayout, offset: int, length: int) -> Dict[int, int]:
+    acc: Dict[int, int] = {}
+    for ext in lay.extents(offset, length):
+        acc[ext.ost] = acc.get(ext.ost, 0) + ext.length
+    return acc
+
+
+def oracle_partial_stripes(lay: StripeLayout, offset: int, length: int) -> int:
+    n = 0
+    for ext in lay.extents(offset, length):
+        stripe_start = ext.stripe_index * lay.stripe_size
+        if not (ext.offset == stripe_start and ext.length == lay.stripe_size):
+            n += 1
+    return n
+
+
+class OracleLockTracker:
+    def __init__(self, revoke_cost: float):
+        self.revoke_cost = float(revoke_cost)
+        self._owner: Dict[int, int] = {}
+        self.revocations = 0
+        self.grants = 0
+
+    def write_penalty(self, client, layout, offset, length, scale=1.0,
+                      full_stripe_discount=0.2) -> float:
+        if length <= 0:
+            return 0.0
+        penalty = 0.0
+        for ext in layout.extents(offset, length):
+            stripe = ext.stripe_index
+            owner = self._owner.get(stripe)
+            if owner is None:
+                self.grants += 1
+            elif owner != client:
+                self.revocations += 1
+                full = (
+                    ext.offset == stripe * layout.stripe_size
+                    and ext.length == layout.stripe_size
+                )
+                discount = full_stripe_discount if full else 1.0
+                penalty += self.revoke_cost * scale * discount
+            self._owner[stripe] = client
+        return penalty
+
+
+def oracle_groups_for(ec: ErasureCodedLayout, offset: int, length: int) -> List[int]:
+    return sorted({e.stripe_index // ec.k for e in ec.base.extents(offset, length)})
+
+
+def _ranges(ec, offset, length, lost=None) -> Dict[int, List[Tuple[int, int]]]:
+    out: Dict[int, List[Tuple[int, int]]] = {}
+    for e in ec.base.extents(offset, length):
+        if lost is not None and e.ost not in lost:
+            continue
+        lo = e.offset - e.stripe_index * ec.stripe_size
+        out.setdefault(e.stripe_index // ec.k, []).append((lo, lo + e.length))
+    return out
+
+
+def oracle_parity_updates(ec, offset, length):
+    out = []
+    for g, ranges in sorted(_ranges(ec, offset, length).items()):
+        union = ec._union_length(ranges)
+        if union <= 0:
+            continue
+        covered = sum(hi - lo for lo, hi in ranges)
+        out.append((g, union, covered == ec.k * ec.stripe_size, ec.parity_osts(g)))
+    return out
+
+
+def oracle_reconstruction_plan(ec, offset, length, lost, avoid=()):
+    lost_set = set(lost)
+    avoid_set = set(avoid) | lost_set
+    out = []
+    for g, ranges in sorted(_ranges(ec, offset, length, lost_set).items()):
+        survivors = [d for d in ec.group_osts(g) if d not in avoid_set]
+        if len(survivors) < ec.k:
+            return None  # the closed form must raise here too
+        out.append((g, ec._union_length(ranges), tuple(survivors[: ec.k])))
+    return out
+
+
+# -- strategies -----------------------------------------------------------------
+
+stripe_sizes = st.one_of(
+    st.integers(1, 17),  # 1 and small non-powers of two
+    st.sampled_from([4096, 65536, 1 << 20, 3 * 1000 + 7, 1_000_000]),
+)
+
+
+@st.composite
+def layouts(draw) -> StripeLayout:
+    n_osts = draw(st.integers(1, 16))
+    return StripeLayout(
+        stripe_size=draw(stripe_sizes),
+        stripe_count=draw(st.integers(1, n_osts)),
+        n_osts=n_osts,
+        start_ost=draw(st.integers(0, n_osts - 1)),
+    )
+
+
+def extents_on(ss: int):
+    """(offset, length) pairs, biased onto and just off stripe boundaries,
+    spanning up to a few dozen stripes; zero lengths included."""
+    near = st.builds(
+        lambda idx, d: max(idx * ss + d, 0), st.integers(0, 40), st.integers(-2, 2)
+    )
+    raw = st.integers(0, 40 * ss)
+    return st.tuples(st.one_of(near, raw), st.one_of(near, raw, st.just(0)))
+
+
+@st.composite
+def layout_and_extent(draw):
+    lay = draw(layouts())
+    offset, length = draw(extents_on(lay.stripe_size))
+    return lay, offset, length
+
+
+# -- StripeLayout ----------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(layout_and_extent())
+def test_bytes_per_ost_matches_walk_including_key_order(case):
+    lay, offset, length = case
+    got = lay.bytes_per_ost(offset, length)
+    want = oracle_bytes_per_ost(lay, offset, length)
+    assert got == want
+    assert list(got) == list(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(layout_and_extent())
+def test_footprint_queries_match_walk(case):
+    lay, offset, length = case
+    exts = lay.extents(offset, length)
+    assert lay.partial_stripes(offset, length) == oracle_partial_stripes(
+        lay, offset, length
+    )
+    assert lay.osts_touched(offset, length) == tuple(
+        oracle_bytes_per_ost(lay, offset, length)
+    )
+    assert lay.boundary_crossings(offset, length) == max(len(exts) - 1, 0)
+
+
+# -- ExtentLockTracker --------------------------------------------------------------
+
+
+@st.composite
+def write_sequences(draw):
+    lay = draw(layouts())
+    writes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # client
+                extents_on(lay.stripe_size),
+                st.sampled_from([1.0, 0.5, 3.7]),  # contention scale
+                st.sampled_from([0.2, 0.0, 1.0 / 3.0]),  # full-stripe discount
+            ),
+            max_size=25,
+        )
+    )
+    return lay, writes
+
+
+@settings(max_examples=300, deadline=None)
+@given(write_sequences(), st.sampled_from([0.013, 1e-3, 0.1]))
+def test_lock_tracker_matches_walk(case, revoke_cost):
+    lay, writes = case
+    new, old = ExtentLockTracker(revoke_cost), OracleLockTracker(revoke_cost)
+    for client, (offset, length), scale, discount in writes:
+        got = new.write_penalty(client, lay, offset, length, scale, discount)
+        want = old.write_penalty(client, lay, offset, length, scale, discount)
+        assert got.hex() == want.hex()  # bit-identical, not approximately
+        assert (new.grants, new.revocations) == (old.grants, old.revocations)
+    assert new._owner == old._owner
+    assert list(new._owner) == list(old._owner)
+
+
+# -- ErasureCodedLayout ---------------------------------------------------------------
+
+
+@st.composite
+def coded_cases(draw):
+    n_osts = draw(st.integers(2, 16))
+    base = StripeLayout(
+        stripe_size=draw(stripe_sizes),
+        stripe_count=draw(st.integers(1, n_osts - 1)),
+        n_osts=n_osts,
+        start_ost=draw(st.integers(0, n_osts - 1)),
+    )
+    k = draw(st.integers(1, base.stripe_count))
+    ec = ErasureCodedLayout(base, k, draw(st.integers(1, n_osts - k)))
+    offset, length = draw(extents_on(base.stripe_size))
+    lost = draw(st.sets(st.integers(0, n_osts - 1), max_size=3))
+    avoid = draw(st.sets(st.integers(0, n_osts - 1), max_size=2))
+    return ec, offset, length, lost, avoid
+
+
+@settings(max_examples=400, deadline=None)
+@given(coded_cases())
+def test_erasure_group_walk_matches_walk(case):
+    ec, offset, length, lost, avoid = case
+    assert ec.groups_for(offset, length) == oracle_groups_for(ec, offset, length)
+    got = [
+        (u.group, u.nbytes, u.full, u.parity_osts)
+        for u in ec.parity_updates(offset, length)
+    ]
+    assert got == oracle_parity_updates(ec, offset, length)
+    want: Optional[list] = oracle_reconstruction_plan(ec, offset, length, lost, avoid)
+    try:
+        plan = ec.reconstruction_plan(offset, length, lost, avoid)
+    except ValueError:
+        assert want is None
+    else:
+        assert [(s.group, s.nbytes, s.survivor_osts) for s in plan] == want
