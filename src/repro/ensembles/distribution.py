@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
-from .histogram import HistogramResult, linear_histogram, log_histogram
+from .histogram import HistogramResult, linear_histogram
 
 __all__ = ["Moments", "EmpiricalDistribution"]
 
@@ -118,9 +118,6 @@ class EmpiricalDistribution:
     # -- histograms ------------------------------------------------------------
     def histogram(self, bins: int = 50) -> HistogramResult:
         return linear_histogram(self.samples, bins=bins)
-
-    def log_hist(self, bins_per_decade: int = 8) -> HistogramResult:
-        return log_histogram(self.samples, bins_per_decade=bins_per_decade)
 
     # -- shape tests ------------------------------------------------------------
     def gaussianity(self) -> float:

@@ -35,10 +35,6 @@ class ProgressCurve:
         idx = min(idx, len(self.times) - 1)
         return float(self.times[idx])
 
-    @property
-    def t_full(self) -> float:
-        return float(self.times[-1]) if len(self.times) else 0.0
-
     def fraction_at(self, t: float) -> float:
         idx = np.searchsorted(self.times, t, side="right")
         if idx == 0:

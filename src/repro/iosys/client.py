@@ -34,40 +34,36 @@ owns the stripe and the queueing delay of the revocation round trip grow
 with the client count -- the mechanism behind GCRM's slow unaligned
 baseline.
 
-Fault recovery (the time-varying fault layer of ``iosys/faults.py``):
-every data op issues a synchronous RPC round (lock enqueue + bulk
-request) against its serving OSTs before bytes move.  If a scheduled
-``stall`` window covers one of them, that RPC is *lost* -- the recovering
-OST discards its request queue -- so the reply never comes and the client
-can only recover by timing out, aborting the stuck RPC
-(:class:`~repro.sim.engine.Interrupt` into the waiting process) and
-re-driving it.  ``MachineConfig.client_retry`` selects between the
-adaptive exponential-backoff resend and the stock client's fixed
-``rpc_resend_interval``; each abort/resend is counted as a retry event in
-the trace.
+Fault recovery (the time-varying fault layer of ``iosys/faults.py``)
+speaks one device vocabulary.  Every data op issues a synchronous RPC
+round (lock enqueue + bulk request) against its serving OSTs before
+bytes move.  A scheduled ``stall`` window on one of them swallows that
+RPC (a recovering OST discards its request queue), so the client learns
+of the stall only by a *resend*: it waits
+``MachineConfig.retry_wait(attempt)`` (adaptive backoff or the stock
+fixed interval, per ``client_retry``) and aborts the stuck RPC with an
+:class:`~repro.sim.engine.Interrupt`.  Each device is *healthy*,
+*avoided* (this node timed out on it within ``failover_probe_interval``,
+or the health monitor quarantined it) or *fresh* (stalled but not yet
+diagnosed).  The placement decides what the client does with that:
 
-Replica failover (``iosys/replication.py``): when the file carries a
-:class:`~repro.iosys.replication.ReplicatedLayout` and
-``MachineConfig.client_failover`` is on, a stalled OST costs one
-detection timeout instead of the stall window -- the client distrusts the
-device until the next probe and steers reads at a surviving copy
-(paying the degraded-read reconstruction surcharge) while writes skip
-the dead copy and mark it stale.  Each steered op is counted as a
-failover event in the trace, carrying the stall time the steer averted.
+- plain stripes ride the stall out, resending until every device answers;
+- mirrors (:class:`~repro.iosys.replication.ReplicatedLayout`, with
+  ``client_failover``) steer per copy: a read pays one timeout per fresh
+  copy and is served by the lowest copy that answers (at the degraded-read
+  surcharge), a write skips unreachable copies and marks them stale;
+- erasure codes (:class:`~repro.iosys.erasure.ErasureCodedLayout`, with
+  ``client_failover``) rebuild per stripe group: a read's lost data units
+  are decoded server-side from ``k`` survivors, so the survivor *devices*
+  absorb the fan-out while the client wire still carries only the
+  payload.  Writes also move the parity: a sub-group write pays the
+  read-old-data + read-old-parity round, a full-group write only the
+  ``(k+m)/k`` amplification.
 
-Erasure coding (``iosys/erasure.py``): when the file carries an
-:class:`~repro.iosys.erasure.ErasureCodedLayout`, writes additionally
-move the parity -- a sub-stripe-group write pays the read-old-data +
-read-old-parity round on top of the ``m``-unit parity mirror, a
-full-group write only the ``(k+m)/k`` wire amplification -- and a read
-whose data device stalls is served *degraded*: after one detection
-timeout the missing range is rebuilt by fanning reads across the ``k``
-survivors of each affected stripe group (every survivor loaded, unlike
-the single mirror of the replication path).  The gather-and-decode runs
-on the server fabric -- the client still receives only the payload
-bytes, it is the surviving *devices* that absorb the fan-out.  Each
-reconstructed op is counted as a degraded-read event in the trace,
-carrying the stall time the rebuild averted.
+When nothing is left to steer to -- every copy avoided, or a group past
+the code's tolerance -- the client polls with backoff until a device
+recovers.  Resends, failovers and rebuilds are counted as trace
+meta-events; the last two carry the stall time they averted.
 """
 
 from __future__ import annotations
@@ -301,59 +297,60 @@ class LustreClient:
         self.channel.bandwidth = lane * active
         self.channel.set_slots(active)
 
-    # -- telemetry ---------------------------------------------------------
-    def _tel_retry(self, layout, offset: int, nbytes: int) -> None:
-        """Attribute one RPC resend to the currently-stalled devices of
-        the extent (pure observation; no-op with telemetry off)."""
-        tel = self.osts.telemetry
+    # -- fault recovery: the device vocabulary (see the module docstring) --
+    def _stall_end(self, devices) -> Optional[float]:
+        """End of the latest stall covering any of ``devices`` now."""
         sched = self.config.faults
-        if tel is None or sched is None:
-            return
+        if sched is None:
+            return None
+        return sched.stall_end(self.engine.now, devices)
+
+    def _device_states(self, devices):
+        """Partition ``devices`` into ``(healthy, avoided, fresh)`` lists,
+        preserving their order."""
         now = self.engine.now
-        stalled = [
-            d
-            for d in layout.bytes_per_ost(offset, nbytes)
-            if sched.stall_end(now, (d,)) is not None
-        ]
-        if stalled:
-            tel.record_retries(stalled)
+        healthy, avoided, fresh = [], [], []
+        for d in devices:
+            if self._avoid.get(d, 0.0) > now or self._sick(d):
+                avoided.append(d)
+            elif self._stall_end((d,)) is not None:
+                fresh.append(d)
+            else:
+                healthy.append(d)
+        return healthy, avoided, fresh
 
-    def _tel_retry_devices(self, devices) -> None:
+    def _distrust(self, devices) -> None:
+        """Remember the stalled ones of ``devices`` until the next probe
+        (``failover_probe_interval`` from now)."""
+        horizon = self.engine.now + self.config.failover_probe_interval
+        for d in devices:
+            if self._stall_end((d,)) is not None:
+                self._avoid[d] = max(self._avoid.get(d, 0.0), horizon)
+
+    def _masked_time(self, devices) -> float:
+        """Stall time a steer around ``devices`` averts: their worst
+        remaining stall window (0 once they recovered)."""
+        now = self.engine.now
+        worst = 0.0
+        for d in devices:
+            end = self._stall_end((d,))
+            if end is not None:
+                worst = max(worst, end - now)
+        return worst
+
+    def _resend(self, attempt: int, footprint):
+        """Generator: one lost-RPC round.  The RPC sent to ``footprint``
+        was swallowed by a stall, so the client records the resend
+        against the stalled devices (telemetry only), waits
+        ``config.retry_wait(attempt)`` and aborts the stuck RPC."""
         tel = self.osts.telemetry
-        if tel is not None and devices:
-            tel.record_retries(devices)
-
-    # -- fault recovery ----------------------------------------------------
-    def _ride_out_stall(self, layout, offset: int, nbytes: int):
-        """Generator: recovery path for an op whose serving OST stalled.
-
-        The op's first RPC round was swallowed by the stalled device, so
-        the client waits ``config.retry_wait(attempt)``, aborts the stuck
-        RPC process (:class:`Interrupt`), and re-drives it -- repeatedly,
-        until a resend lands outside every stall window.  Returns
-        ``(resends, waited_seconds)``.
-        """
-        cfg = self.config
-        t0 = self.engine.now
-        attempt = 0
-        while True:
-            stall_end = self.osts.stall_until(
-                layout, offset, nbytes, self.engine.now
-            )
-            if stall_end is None:
-                break
-            self._tel_retry(layout, offset, nbytes)
-            rpc = self.engine.process(
-                self._lost_rpc(), name=f"rpc{self.node_id}"
-            )
-            yield self.engine.timeout(cfg.retry_wait(attempt))
-            rpc.interrupt("rpc-timeout")
-            attempt += 1
-        if attempt:
-            # the resend that got through pays the reconnect/replay trip
-            yield self.engine.timeout(cfg.stall_replay_latency)
-        self.retry_events += attempt
-        return attempt, self.engine.now - t0
+        if tel is not None and self.config.faults is not None:
+            stalled = [d for d in footprint if self._stall_end((d,)) is not None]
+            if stalled:
+                tel.record_retries(stalled)
+        rpc = self.engine.process(self._lost_rpc(), name=f"rpc{self.node_id}")
+        yield self.engine.timeout(self.config.retry_wait(attempt))
+        rpc.interrupt("rpc-timeout")
 
     def _lost_rpc(self):
         """A bulk RPC swallowed by a stalled OST.  The reply never arrives
@@ -365,74 +362,47 @@ class LustreClient:
             pass
         return None
 
-    # -- replica failover --------------------------------------------------
-    #
-    # With mirrored placement (file.replication set) and
-    # ``client_failover`` on, a stalled OST no longer costs the stall
-    # window: the client times out *once*, distrusts the device until the
-    # next probe, and steers the resend -- and every subsequent op -- at a
-    # surviving copy.  Only when every copy of the extent is behind a
-    # stall does it fall back to the PR-1 ride-out loop.
+    def _ride_out_stall(self, layout, offset: int, nbytes: int):
+        """Generator: resend until every device of the extent answers.
+        Returns ``(resends, waited_seconds)``."""
+        t0 = self.engine.now
+        footprint = layout.bytes_per_ost(offset, nbytes)
+        attempt = 0
+        while self._stall_end(footprint) is not None:
+            yield from self._resend(attempt, footprint)
+            attempt += 1
+        if attempt:
+            # the resend that got through pays the reconnect/replay trip
+            yield self.engine.timeout(self.config.stall_replay_latency)
+        self.retry_events += attempt
+        return attempt, self.engine.now - t0
 
-    def _replica_states(self, rep, offset: int, nbytes: int):
-        """Partition the copies of one extent by reachability right now.
-
-        Returns ``(healthy, avoided, fresh)`` replica-index lists:
-        *healthy* copies' devices answer and are trusted; *avoided* copies
-        touch a device this node recently timed out on (skipped at no new
-        cost); *fresh* copies are stalled but not yet diagnosed -- the
-        client only learns that by paying a timeout.
-        """
-        now = self.engine.now
-        healthy, avoided, fresh = [], [], []
-        for r in range(rep.replica_count):
-            lay = rep.replica(r)
-            if any(
-                self._avoid.get(d, 0.0) > now or self._sick(d)
-                for d in lay.bytes_per_ost(offset, nbytes)
-            ):
-                avoided.append(r)
-            elif self.osts.stall_until(lay, offset, nbytes, now) is not None:
-                fresh.append(r)
-            else:
-                healthy.append(r)
-        return healthy, avoided, fresh
-
-    def _truth_healthy(self, rep, offset: int, nbytes: int):
-        """Replica indices whose devices actually answer right now,
-        ignoring the client's distrust map (the desperate-poll view)."""
+    # -- mirrors: per-copy steering -----------------------------------------
+    @staticmethod
+    def _copies(rep, offset: int, nbytes: int):
+        """Each copy's device footprint of the extent, primary first."""
         return [
-            r
+            rep.replica(r).bytes_per_ost(offset, nbytes)
             for r in range(rep.replica_count)
-            if self.osts.stall_until(
-                rep.replica(r), offset, nbytes, self.engine.now
-            )
-            is None
         ]
 
-    def _distrust(self, rep, replicas, offset: int, nbytes: int) -> None:
-        """Remember the timed-out copies' stalled devices until the next
-        probe (``failover_probe_interval`` from now)."""
-        sched = self.config.faults
-        if sched is None:
-            return
-        now = self.engine.now
-        horizon = now + self.config.failover_probe_interval
-        for r in replicas:
-            for d in rep.replica(r).bytes_per_ost(offset, nbytes):
-                if sched.stall_end(now, (d,)) is not None:
-                    self._avoid[d] = max(self._avoid.get(d, 0.0), horizon)
+    def _replica_states(self, copies):
+        """Partition copy indices into ``(healthy, avoided, fresh)``: a
+        copy is avoided if any of its devices is, otherwise fresh if any
+        of them is stalled."""
+        healthy, avoided, fresh = [], [], []
+        for r, devices in enumerate(copies):
+            _, a, f = self._device_states(devices)
+            (avoided if a else fresh if f else healthy).append(r)
+        return healthy, avoided, fresh
 
-    def _masked_time(self, rep, skipped, offset: int, nbytes: int) -> float:
-        """Stall time the steer averted: the worst remaining stall window
-        among the bypassed copies' devices (0 once they recovered)."""
-        now = self.engine.now
-        worst = 0.0
-        for r in skipped:
-            end = self.osts.stall_until(rep.replica(r), offset, nbytes, now)
-            if end is not None:
-                worst = max(worst, end - now)
-        return worst
+    def _truth_healthy(self, copies):
+        """Copies whose devices actually answer right now, ignoring the
+        distrust map (the desperate-poll view)."""
+        return [
+            r for r, devices in enumerate(copies)
+            if self._stall_end(devices) is None
+        ]
 
     def _read_source(self, rep, offset: int, nbytes: int):
         """Generator: choose the copy a read is served from.
@@ -445,45 +415,30 @@ class LustreClient:
         """
         cfg = self.config
         t0 = self.engine.now
+        copies = self._copies(rep, offset, nbytes)
         retries = 0
         # averted stall is measured at each *decision* point -- once the
         # detection timeouts have been paid the window may already be over
         masked = 0.0
         while True:
-            healthy, avoided, fresh = self._replica_states(
-                rep, offset, nbytes
-            )
+            healthy, avoided, fresh = self._replica_states(copies)
             if healthy or fresh:
-                preferred = min(healthy + fresh)
-                if preferred in healthy:
-                    r = preferred
+                r = min(healthy + fresh)
+                if r in healthy:
                     break
                 # the preferred copy's RPC was swallowed: time out, abort,
                 # distrust its devices, and try the next copy
-                masked = max(
-                    masked,
-                    self._masked_time(rep, [preferred], offset, nbytes),
-                )
-                self._tel_retry(rep.replica(preferred), offset, nbytes)
-                rpc = self.engine.process(
-                    self._lost_rpc(), name=f"rpc{self.node_id}"
-                )
-                yield self.engine.timeout(cfg.retry_wait(retries))
-                rpc.interrupt("rpc-timeout")
+                masked = max(masked, self._masked_time(copies[r]))
+                yield from self._resend(retries, copies[r])
                 retries += 1
-                self._distrust(rep, [preferred], offset, nbytes)
+                self._distrust(copies[r])
                 continue
             # every copy distrusted: probe reality (nothing else to try)
-            truth = self._truth_healthy(rep, offset, nbytes)
+            truth = self._truth_healthy(copies)
             if truth:
                 r = truth[0]
                 break
-            self._tel_retry(rep, offset, nbytes)
-            rpc = self.engine.process(
-                self._lost_rpc(), name=f"rpc{self.node_id}"
-            )
-            yield self.engine.timeout(cfg.retry_wait(retries))
-            rpc.interrupt("rpc-timeout")
+            yield from self._resend(retries, rep.bytes_per_ost(offset, nbytes))
             retries += 1
         if retries:
             # the resend that got through pays the reconnect/replay trip
@@ -497,9 +452,7 @@ class LustreClient:
             self.failover_events += 1
             failovers = 1
         self.retry_events += retries
-        masked = max(
-            masked, self._masked_time(rep, range(r), offset, nbytes)
-        )
+        masked = max(masked, self._masked_time(d for c in copies[:r] for d in c))
         return r, retries, self.engine.now - t0, failovers, masked
 
     def _mirror_write_targets(self, rep, offset: int, nbytes: int):
@@ -518,133 +471,53 @@ class LustreClient:
             # ReplicatedLayout.bytes_per_ost is the union footprint, so
             # the ride-out ends only when every copy's devices answer
             retries = 0
-            if self.osts.stall_until(
-                rep, offset, nbytes, self.engine.now
-            ) is not None:
-                retries, _ = yield from self._ride_out_stall(
-                    rep, offset, nbytes
-                )
-            return (
-                list(range(rep.replica_count)),
-                retries,
-                self.engine.now - t0,
-                0,
-                0.0,
-            )
-        healthy, avoided, fresh = self._replica_states(rep, offset, nbytes)
+            if self.osts.stall_until(rep, offset, nbytes, t0) is not None:
+                retries, _ = yield from self._ride_out_stall(rep, offset, nbytes)
+            waited = self.engine.now - t0
+            return list(range(rep.replica_count)), retries, waited, 0, 0.0
+        copies = self._copies(rep, offset, nbytes)
+        healthy, avoided, fresh = self._replica_states(copies)
         retries = 0
         # averted stall at the decision point (see _read_source)
-        masked = self._masked_time(
-            rep, fresh + avoided, offset, nbytes
-        )
+        masked = self._masked_time(d for r in fresh + avoided for d in copies[r])
         if fresh:
             # RPCs to the undiagnosed copies were swallowed; one shared
             # timeout round diagnoses them all
-            self._tel_retry(rep, offset, nbytes)
-            rpc = self.engine.process(
-                self._lost_rpc(), name=f"rpc{self.node_id}"
-            )
-            yield self.engine.timeout(cfg.retry_wait(0))
-            rpc.interrupt("rpc-timeout")
+            yield from self._resend(0, rep.bytes_per_ost(offset, nbytes))
             retries += 1
-            self._distrust(rep, fresh, offset, nbytes)
-        if not healthy:
-            # every copy unreachable or distrusted: poll all of them with
-            # backoff; the first device to recover takes the write
-            while True:
-                healthy = self._truth_healthy(rep, offset, nbytes)
-                if healthy:
-                    break
-                self._tel_retry(rep, offset, nbytes)
-                rpc = self.engine.process(
-                    self._lost_rpc(), name=f"rpc{self.node_id}"
-                )
-                yield self.engine.timeout(cfg.retry_wait(retries))
-                rpc.interrupt("rpc-timeout")
+            self._distrust(d for r in fresh for d in copies[r])
+        # every copy unreachable or distrusted: poll all of them with
+        # backoff; the first device to recover takes the write
+        while not healthy:
+            healthy = self._truth_healthy(copies)
+            if not healthy:
+                yield from self._resend(retries, rep.bytes_per_ost(offset, nbytes))
                 retries += 1
         if retries:
             yield self.engine.timeout(cfg.stall_replay_latency)
-        skipped = [
-            r for r in range(rep.replica_count) if r not in healthy
-        ]
-        failovers = len(skipped)
+        skipped = [r for r in range(rep.replica_count) if r not in healthy]
         masked = max(
-            masked, self._masked_time(rep, skipped, offset, nbytes)
+            masked, self._masked_time(d for r in skipped for d in copies[r])
         )
         if skipped:
             self.failover_events += 1
             stale_extents: Dict[int, int] = {}
             for r in skipped:
-                for d, nb in rep.replica(r).bytes_per_ost(
-                    offset, nbytes
-                ).items():
+                for d, nb in copies[r].items():
                     stale_extents[d] = stale_extents.get(d, 0) + nb
             self.osts.mark_stale(len(skipped), nbytes, stale_extents)
         self.retry_events += retries
-        return healthy, retries, self.engine.now - t0, failovers, masked
+        return healthy, retries, self.engine.now - t0, len(skipped), masked
 
-    # -- erasure-coded degraded reads ---------------------------------------
-    #
-    # With k+m placement (file.erasure set) and ``client_failover`` on,
-    # a read whose data device stalls costs one detection timeout and is
-    # then served *degraded*: the missing range of each affected stripe
-    # group is rebuilt from its k surviving units.  Only when some group
-    # has lost more than m units does the client fall back to polling.
-
-    def _ec_device_states(self, ec, offset: int, nbytes: int):
-        """Partition the extent's *data* devices by reachability right
-        now: answering-and-trusted, distrusted (recently timed out on),
-        and stalled-but-undiagnosed (learning that costs a timeout)."""
-        now = self.engine.now
-        sched = self.config.faults
-        healthy, avoided, fresh = [], [], []
-        for d in sorted(ec.data_layout.bytes_per_ost(offset, nbytes)):
-            if self._avoid.get(d, 0.0) > now or self._sick(d):
-                avoided.append(d)
-            elif sched is not None and sched.stall_end(now, (d,)) is not None:
-                fresh.append(d)
-            else:
-                healthy.append(d)
-        return healthy, avoided, fresh
-
-    def _device_masked_time(self, devices) -> float:
-        """Worst remaining stall window among ``devices`` (0 once over)."""
-        sched = self.config.faults
-        if sched is None:
-            return 0.0
-        now = self.engine.now
-        worst = 0.0
-        for d in devices:
-            end = sched.stall_end(now, (d,))
-            if end is not None:
-                worst = max(worst, end - now)
-        return worst
-
-    def _distrust_devices(self, devices) -> None:
-        """Remember timed-out devices until the next probe."""
-        sched = self.config.faults
-        if sched is None:
-            return
-        now = self.engine.now
-        horizon = now + self.config.failover_probe_interval
-        for d in devices:
-            if sched.stall_end(now, (d,)) is not None:
-                self._avoid[d] = max(self._avoid.get(d, 0.0), horizon)
-
+    # -- erasure codes: per-group rebuild -----------------------------------
     def _ec_unusable(self, ec, offset: int, nbytes: int, lost):
         """Devices a reconstruction must not read from right now: the
         lost set plus every group member (data *or* parity) that is
-        distrusted or actually stalled."""
-        now = self.engine.now
-        sched = self.config.faults
-        bad = set(lost)
-        for g in ec.groups_for(offset, nbytes):
-            for d in ec.group_osts(g):
-                if self._avoid.get(d, 0.0) > now or self._sick(d):
-                    bad.add(d)
-                elif sched is not None and sched.stall_end(now, (d,)) is not None:
-                    bad.add(d)
-        return tuple(sorted(bad))
+        avoided or stalled."""
+        _, avoided, fresh = self._device_states(
+            [d for g in ec.groups_for(offset, nbytes) for d in ec.group_osts(g)]
+        )
+        return tuple(sorted(set(lost).union(avoided, fresh)))
 
     def _ec_read_source(self, ec, offset: int, nbytes: int):
         """Generator: decide how an erasure-coded read is served.
@@ -660,31 +533,23 @@ class LustreClient:
         """
         cfg = self.config
         t0 = self.engine.now
+        data_devices = sorted(ec.data_layout.bytes_per_ost(offset, nbytes))
         retries = 0
-        # averted stall is measured at each *decision* point -- once the
-        # detection timeouts have been paid the window may already be over
+        # averted stall is measured at each *decision* point (see
+        # _read_source)
         masked = 0.0
         while True:
-            healthy, avoided, fresh = self._ec_device_states(
-                ec, offset, nbytes
-            )
+            _, avoided, fresh = self._device_states(data_devices)
             if not avoided and not fresh:
                 lost, avoid = (), ()
                 break
             if fresh:
                 # RPCs to the undiagnosed devices were swallowed; one
                 # shared timeout round diagnoses them all
-                masked = max(
-                    masked, self._device_masked_time(fresh + avoided)
-                )
-                self._tel_retry_devices(fresh)
-                rpc = self.engine.process(
-                    self._lost_rpc(), name=f"rpc{self.node_id}"
-                )
-                yield self.engine.timeout(cfg.retry_wait(retries))
-                rpc.interrupt("rpc-timeout")
+                masked = max(masked, self._masked_time(fresh + avoided))
+                yield from self._resend(retries, fresh)
                 retries += 1
-                self._distrust_devices(fresh)
+                self._distrust(fresh)
                 continue
             # every sick data device diagnosed: reconstructible?
             lost = tuple(avoided)
@@ -694,12 +559,7 @@ class LustreClient:
             except ValueError:
                 # some group lost more than m units: nothing to rebuild
                 # from, poll with backoff until a device recovers
-                self._tel_retry(ec, offset, nbytes)
-                rpc = self.engine.process(
-                    self._lost_rpc(), name=f"rpc{self.node_id}"
-                )
-                yield self.engine.timeout(cfg.retry_wait(retries))
-                rpc.interrupt("rpc-timeout")
+                yield from self._resend(retries, ec.bytes_per_ost(offset, nbytes))
                 retries += 1
                 continue
             break
@@ -710,9 +570,41 @@ class LustreClient:
             if retries:
                 # the switching op re-enqueues its locks on the survivors
                 yield self.engine.timeout(cfg.failover_latency)
-            masked = max(masked, self._device_masked_time(lost))
+            masked = max(masked, self._masked_time(lost))
         self.retry_events += retries
         return lost, avoid, retries, self.engine.now - t0, masked
+
+    # -- admission ---------------------------------------------------------------
+    def _enter(self, file, offset: int, nbytes: int):
+        """Generator: the prologue of every data op.  Applies the tenant
+        throttle, registers the node with the arbiter (a fresh burst
+        redraws the discipline), samples queue depth over the op's full
+        placement footprint (mirror union / k+m group / plain stripes),
+        and yields once so every same-timestamp peer registers before
+        shares are sampled.  Returns the sampled devices."""
+        if self.health is not None:
+            throttle = self.health.throttle_delay(self.tenant)
+            if throttle > 0.0:
+                yield self.engine.timeout(throttle)
+        if self.arbiter.begin(file.file_id, self.node_id):
+            self._resample_discipline()
+        tel = self.osts.telemetry
+        tel_devs = ()
+        if tel is not None:
+            lay = file.replication or file.erasure or file.layout
+            tel_devs = lay.osts_touched(offset, nbytes)
+            tel.op_begin(tel_devs, self.tenant)
+        yield self.engine.timeout(0.0)
+        return tel_devs
+
+    def _leave(self, file, t0: float, tel_devs) -> None:
+        """The epilogue of every data op, run however it ends."""
+        self.token.release()
+        self.arbiter.end(file.file_id, self.node_id)
+        if tel_devs:
+            self.osts.telemetry.op_end(tel_devs, self.tenant)
+            if self.health is not None:
+                self.health.observe_op(tel_devs, self.engine.now - t0)
 
     # -- write path ------------------------------------------------------------
     def write(
@@ -725,28 +617,11 @@ class LustreClient:
         """
         cfg = self.config
         t0 = self.engine.now
-        if self.health is not None:
-            throttle = self.health.throttle_delay(self.tenant)
-            if throttle > 0.0:
-                yield self.engine.timeout(throttle)
-        if self.arbiter.begin(file.file_id, self.node_id):
-            self._resample_discipline()
-        # queue-depth sampling over the op's full placement footprint
-        # (mirror union / k+m group / plain stripes), inline: this runs
-        # for every simulated transfer
-        tel = self.osts.telemetry
-        if tel is not None:
-            lay = file.replication or file.erasure or file.layout
-            tel_devs = lay.osts_touched(offset, nbytes)
-            tel.op_begin(tel_devs, self.tenant)
-        else:
-            tel_devs = ()
-        # Let every same-timestamp peer register before shares are sampled.
-        yield self.engine.timeout(0.0)
+        tel_devs = yield from self._enter(file, offset, nbytes)
         yield self.token.acquire()
         try:
-            rep = getattr(file, "replication", None)
-            ec = getattr(file, "erasure", None)
+            rep = file.replication
+            ec = file.erasure
             retries, stall_wait = 0, 0.0
             failovers, masked_wait = 0, 0.0
             if rep is not None:
@@ -834,12 +709,7 @@ class LustreClient:
             if penalty > 0:
                 yield self.engine.timeout(penalty * factor)
         finally:
-            self.token.release()
-            self.arbiter.end(file.file_id, self.node_id)
-            if tel_devs:
-                tel.op_end(tel_devs, self.tenant)
-            if self.health is not None and tel_devs:
-                self.health.observe_op(tel_devs, self.engine.now - t0)
+            self._leave(file, t0, tel_devs)
         self.writes += 1
         return IoResult(
             duration=self.engine.now - t0,
@@ -879,28 +749,15 @@ class LustreClient:
         """Generator: full read path.  Returns :class:`IoResult`."""
         cfg = self.config
         t0 = self.engine.now
-        if self.health is not None:
-            throttle = self.health.throttle_delay(self.tenant)
-            if throttle > 0.0:
-                yield self.engine.timeout(throttle)
-        if self.arbiter.begin(file.file_id, self.node_id):
-            self._resample_discipline()
-        tel = self.osts.telemetry
-        if tel is not None:
-            lay = file.replication or file.erasure or file.layout
-            tel_devs = lay.osts_touched(offset, nbytes)
-            tel.op_begin(tel_devs, self.tenant)
-        else:
-            tel_devs = ()
-        yield self.engine.timeout(0.0)
+        tel_devs = yield from self._enter(file, offset, nbytes)
         # Read-ahead observes the stream in arrival order (before queueing).
         plan: ReadPlan = self.readahead.observe(
             task, file.file_id, offset, nbytes, self.cache.pressure()
         )
         yield self.token.acquire()
         try:
-            rep = getattr(file, "replication", None)
-            ec = getattr(file, "erasure", None)
+            rep = file.replication
+            ec = file.erasure
             serving = file.layout
             retries, stall_wait = 0, 0.0
             failovers, masked_wait = 0, 0.0
@@ -981,12 +838,7 @@ class LustreClient:
             if penalty > 0:
                 yield self.engine.timeout(penalty)
         finally:
-            self.token.release()
-            self.arbiter.end(file.file_id, self.node_id)
-            if tel_devs:
-                tel.op_end(tel_devs, self.tenant)
-            if self.health is not None and tel_devs:
-                self.health.observe_op(tel_devs, self.engine.now - t0)
+            self._leave(file, t0, tel_devs)
         self.reads += 1
         return IoResult(
             duration=self.engine.now - t0,

@@ -29,13 +29,12 @@ costs this module makes explicit:
   the tail like failover but loading every surviving device.
   :meth:`reconstruction_plan` picks the survivors.
 
-The object quacks like a :class:`StripeLayout` for the penalty model
-(``rpcs_for``, ``partial_stripes``, ...), with the same deliberate
-difference as :class:`ReplicatedLayout`: its :meth:`bytes_per_ost`
-reports the extent's *full device footprint* -- data bytes plus the
-parity bytes the extent's groups would update -- which is what write
-stall queries and slow-factor maxima must consult.  Data-only placement
-comes from :attr:`data_layout` (the base layout itself).
+Geometry lives on :attr:`base`, the data placement (also exposed as
+:attr:`data_layout`).  The descriptor itself answers group and footprint
+queries: :meth:`bytes_per_ost` and :meth:`osts_touched` report the
+extent's *full device footprint* -- data bytes plus the parity bytes
+the extent's groups would update -- which is what write stall queries
+and slow-factor maxima must consult.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
-from .striping import Extent, StripeLayout
+from .striping import StripeLayout
 
 __all__ = ["ErasureCodedLayout", "ParityUpdate", "ReconstructionStep"]
 
@@ -105,46 +104,11 @@ class ErasureCodedLayout:
                 f"{self.k}+{self.m} vs {self.base.n_osts}"
             )
 
-    # -- delegation to the data layout -------------------------------------
     @property
     def data_layout(self) -> StripeLayout:
         """The plain data placement (identical to the file's primary
         layout, so locate/diagnose machinery composes unchanged)."""
         return self.base
-
-    @property
-    def stripe_size(self) -> int:
-        return self.base.stripe_size
-
-    @property
-    def stripe_count(self) -> int:
-        return self.base.stripe_count
-
-    @property
-    def n_osts(self) -> int:
-        return self.base.n_osts
-
-    @property
-    def start_ost(self) -> int:
-        return self.base.start_ost
-
-    def stripe_of_offset(self, offset: int) -> int:
-        return self.base.stripe_of_offset(offset)
-
-    def rpcs_for(self, length: int, rpc_size: int) -> int:
-        return self.base.rpcs_for(length, rpc_size)
-
-    def partial_stripes(self, offset: int, length: int) -> int:
-        return self.base.partial_stripes(offset, length)
-
-    def boundary_crossings(self, offset: int, length: int) -> int:
-        return self.base.boundary_crossings(offset, length)
-
-    def is_aligned(self, offset: int, length: int) -> bool:
-        return self.base.is_aligned(offset, length)
-
-    def extents(self, offset: int, length: int) -> List[Extent]:
-        return self.base.extents(offset, length)
 
     # -- group structure ---------------------------------------------------
     @property
@@ -152,11 +116,10 @@ class ErasureCodedLayout:
         """Stored bytes per payload byte: ``(k + m) / k``."""
         return (self.k + self.m) / self.k
 
-    def group_of_stripe(self, stripe_index: int) -> int:
-        return stripe_index // self.k
-
     def data_osts(self, group: int) -> Tuple[int, ...]:
         """Devices of the group's ``k`` data units, unit order."""
+        if group < 0:
+            raise ValueError(f"group must be non-negative: {group}")
         return tuple(
             self.base.ost_of_stripe(group * self.k + u)
             for u in range(self.k)
@@ -195,7 +158,7 @@ class ErasureCodedLayout:
         """``(stripe, lo, hi)`` for every stripe the extent touches, in
         order: ``[lo, hi)`` is the intra-stripe byte range it covers."""
         first, last = self.base.stripe_span(offset, length)
-        ss = self.stripe_size
+        ss = self.base.stripe_size
         for stripe in range(first, last + 1) if length else ():
             at = stripe * ss
             yield stripe, max(offset - at, 0), min(offset + length - at, ss)
@@ -239,7 +202,7 @@ class ErasureCodedLayout:
             if union <= 0:
                 continue
             covered = sum(hi - lo for lo, hi in ranges)
-            full = covered == self.k * self.stripe_size
+            full = covered == self.k * self.base.stripe_size
             out.append(
                 ParityUpdate(
                     group=g,

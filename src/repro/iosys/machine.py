@@ -359,11 +359,6 @@ class MachineConfig:
             active_nodes = 1
         return min(self.client_bw, self.fs_bw / active_nodes)
 
-    def node_read_share(self, active_nodes: int) -> float:
-        if active_nodes < 1:
-            active_nodes = 1
-        return min(self.client_bw, self.fs_read_bw / active_nodes)
-
     def with_overrides(self, **kwargs) -> "MachineConfig":
         """A copy with selected fields replaced (presets stay pristine)."""
         return replace(self, **kwargs)

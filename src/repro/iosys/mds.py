@@ -80,10 +80,6 @@ class MetadataServer:
         return self._server.request(0.0, factor=factor)
 
     @property
-    def total_ops(self) -> int:
-        return sum(self.ops.values())
-
-    @property
     def queue_depth(self) -> int:
         # delegates to the shared FifoQueueMixin accounting on the Server
         return self._server.queue_depth if self._server else 0

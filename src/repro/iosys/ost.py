@@ -160,7 +160,7 @@ class OstPool:
         total_parity = 0
         tel = self.telemetry
         for upd in ec.parity_updates(offset, length):
-            per_unit_rpcs = ec.rpcs_for(upd.nbytes, cfg.rpc_size)
+            per_unit_rpcs = ec.base.rpcs_for(upd.nbytes, cfg.rpc_size)
             penalty += per_unit_rpcs * len(upd.parity_osts) * cfg.rpc_overhead
             for d in upd.parity_osts:
                 self.bytes_written[d] += upd.nbytes
@@ -212,7 +212,7 @@ class OstPool:
         for step in ec.reconstruction_plan(offset, length, lost, avoid):
             n_groups += 1
             self.ec_reconstructions += 1
-            per_unit_rpcs = ec.rpcs_for(step.nbytes, cfg.rpc_size)
+            per_unit_rpcs = ec.base.rpcs_for(step.nbytes, cfg.rpc_size)
             n_surv = len(step.survivor_osts)
             # one RPC round per survivor unit, but decode is a single
             # reduction pass over the k gathered buffers per group

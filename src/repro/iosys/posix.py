@@ -138,11 +138,6 @@ class IoSystem:
             return task
         return task // self.config.tasks_per_node
 
-    def n_nodes(self) -> int:
-        if self.placement == "spread":
-            return self.ntasks
-        return self.config.nodes_for(self.ntasks)
-
     def client_for(self, task: int) -> LustreClient:
         node = self.node_of(task)
         client = self._clients.get(node)

@@ -17,13 +17,13 @@ clipping the tail while the median -- served by healthy primaries --
 stays put.  Writes pay for the redundancy up front: every copy consumes
 real bandwidth and real RPCs on its own device.
 
-The object quacks like a :class:`~repro.iosys.striping.StripeLayout` for
-the penalty model (``rpcs_for``, ``partial_stripes``, ...), with one
-deliberate difference: its :meth:`bytes_per_ost` reports the extent's
-*full device footprint* (the union over all copies), which is exactly
-what stall queries need -- an extent is only unreachable when **every**
-copy of it is behind a stall.  Per-copy placement comes from
-:meth:`replica`, which returns a plain ``StripeLayout`` for that copy.
+Geometry lives on :attr:`base` (the primary copy's
+:class:`~repro.iosys.striping.StripeLayout`); :meth:`replica` returns
+the plain layout of any copy.  Besides copy placement, the descriptor
+answers footprint queries: :meth:`bytes_per_ost` and
+:meth:`osts_touched` report the extent's *full device footprint*, the
+union over all copies -- what a mirrored write, which must reach every
+copy, has to wait on.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .striping import Extent, StripeLayout
+from .striping import StripeLayout
 
 __all__ = ["ReplicatedLayout"]
 
@@ -51,38 +51,6 @@ class ReplicatedLayout:
                 f"replica_count must be in [1, n_osts]: "
                 f"{self.replica_count} vs {self.base.n_osts}"
             )
-
-    # -- delegation to the primary copy ------------------------------------
-    @property
-    def stripe_size(self) -> int:
-        return self.base.stripe_size
-
-    @property
-    def stripe_count(self) -> int:
-        return self.base.stripe_count
-
-    @property
-    def n_osts(self) -> int:
-        return self.base.n_osts
-
-    @property
-    def start_ost(self) -> int:
-        return self.base.start_ost
-
-    def stripe_of_offset(self, offset: int) -> int:
-        return self.base.stripe_of_offset(offset)
-
-    def rpcs_for(self, length: int, rpc_size: int) -> int:
-        return self.base.rpcs_for(length, rpc_size)
-
-    def partial_stripes(self, offset: int, length: int) -> int:
-        return self.base.partial_stripes(offset, length)
-
-    def boundary_crossings(self, offset: int, length: int) -> int:
-        return self.base.boundary_crossings(offset, length)
-
-    def is_aligned(self, offset: int, length: int) -> bool:
-        return self.base.is_aligned(offset, length)
 
     # -- placement ------------------------------------------------------------
     @property
@@ -127,10 +95,6 @@ class ReplicatedLayout:
             self.ost_of_stripe(stripe_index, r)
             for r in range(self.replica_count)
         )
-
-    def extents(self, offset: int, length: int, r: int = 0) -> List[Extent]:
-        """Per-stripe extents of copy ``r`` for ``[offset, offset+length)``."""
-        return self.replica(r).extents(offset, length)
 
     def bytes_per_ost(self, offset: int, length: int) -> Dict[int, int]:
         """The extent's full device footprint: bytes each OST holds summed

@@ -164,6 +164,7 @@ class StripeLayout:
 
     def is_aligned(self, offset: int, length: int) -> bool:
         """True when the extent starts and ends on stripe boundaries."""
+        self.stripe_span(offset, length)  # validates
         return (
             offset % self.stripe_size == 0
             and (offset + length) % self.stripe_size == 0

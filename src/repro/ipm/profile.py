@@ -78,10 +78,6 @@ class StreamingHistogram:
         exponents = self._log_min + np.arange(self.n_bins + 1) / self._scale
         return 10.0 ** exponents
 
-    def bin_centers(self) -> np.ndarray:
-        edges = self.bin_edges()
-        return np.sqrt(edges[:-1] * edges[1:])  # geometric centers
-
     @property
     def mean(self) -> float:
         return self._sum / self.n if self.n else math.nan

@@ -711,32 +711,7 @@ class Engine:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, at: float, event: Event) -> None:
-        now = self.now
-        if at < now:
-            raise SimulationError(
-                f"cannot schedule into the past: {at} < now {self.now}"
-            )
-        if self._fast:
-            if at > now:
-                buckets = self._buckets
-                bucket = buckets.get(at)
-                if bucket is None:
-                    heapq.heappush(self._times, at)
-                    buckets[at] = deque((event,))
-                else:
-                    bucket.append(event)
-            else:
-                self._tail.append(event)
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (at, self._seq, event))
-
     def _ready(self, event: Event) -> None:
         """Queue a just-triggered event for callback dispatch *now*."""
         if self._fast:

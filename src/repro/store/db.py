@@ -180,10 +180,6 @@ class RunStore:
         self._conn.commit()
         return cur.rowcount > 0
 
-    def put_many(self, records: "List[RunRecord]") -> int:
-        """Insert a batch; returns how many were new."""
-        return sum(1 for r in records if self.put(r))
-
     # -- reads -------------------------------------------------------------
     @staticmethod
     def _record(row: sqlite3.Row) -> RunRecord:

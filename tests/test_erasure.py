@@ -66,6 +66,13 @@ def test_group_units_pairwise_distinct():
             assert len(set(units)) == 6
 
 
+def test_group_queries_reject_negative_groups():
+    ec = _ec()
+    for query in (ec.data_osts, ec.parity_osts, ec.group_osts):
+        with pytest.raises(ValueError, match="group must be non-negative"):
+            query(-1)
+
+
 def test_parity_placement_rotates_with_group():
     ec = _ec()
     first = {ec.parity_osts(g) for g in range(4)}

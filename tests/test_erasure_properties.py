@@ -69,7 +69,7 @@ def test_any_m_losses_are_reconstructible(ec, group, data):
         st.lists(st.sampled_from(units), min_size=n_lost,
                  max_size=n_lost, unique=True)
     )
-    span = ec.k * ec.stripe_size
+    span = ec.k * ec.base.stripe_size
     steps = ec.reconstruction_plan(group * span, span, tuple(lost))
     for step in steps:
         assert step.group == group
@@ -93,7 +93,7 @@ def test_losses_beyond_tolerance_raise(ec, group, data):
                      max_size=ec.m + 1, unique=True)
         )
     )
-    span = ec.k * ec.stripe_size
+    span = ec.k * ec.base.stripe_size
     try:
         ec.reconstruction_plan(group * span, span, tuple(lost))
     except ValueError:

@@ -47,7 +47,7 @@ def test_layout_validates_replica_count():
 def test_replica_zero_is_the_primary():
     rep = ReplicatedLayout(_layout(start=3), 2)
     assert rep.replica(0) is rep.base
-    assert rep.start_ost == 3
+    assert rep.base.start_ost == 3
 
 
 def test_replica_shift_spreads_copies():
@@ -72,7 +72,7 @@ def test_bytes_per_ost_is_the_union_footprint():
 def test_extents_land_on_the_replica_device():
     rep = ReplicatedLayout(_layout(start=1), 3)
     for r in range(3):
-        for e in rep.extents(2 * MiB, RECORD, r):
+        for e in rep.replica(r).extents(2 * MiB, RECORD):
             assert e.ost == rep.ost_of_stripe(2, r)
 
 

@@ -58,10 +58,10 @@ def test_copies_on_pairwise_distinct_devices(rep, stripe):
 @given(replicated_layouts(), st.integers(0, 4095))
 def test_replica_extents_mirror_the_primary(rep, stripe):
     """Each copy holds the same byte range, shifted to its own device."""
-    offset = stripe * rep.stripe_size
+    offset = stripe * rep.base.stripe_size
     for r in range(rep.replica_count):
-        extents = rep.extents(offset, rep.stripe_size, r)
-        assert sum(e.length for e in extents) == rep.stripe_size
+        extents = rep.replica(r).extents(offset, rep.base.stripe_size)
+        assert sum(e.length for e in extents) == rep.base.stripe_size
         assert all(e.ost == rep.ost_of_stripe(stripe, r) for e in extents)
 
 

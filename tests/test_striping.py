@@ -99,9 +99,13 @@ class TestCounts:
     @pytest.mark.parametrize(
         "query",
         ["extents", "bytes_per_ost", "osts_touched", "boundary_crossings",
-         "partial_stripes", "stripe_span"],
+         "partial_stripes", "is_aligned", "stripe_span"],
     )
-    @pytest.mark.parametrize("offset,length", [(-5, 10), (0, -3), (-1, 0)])
+    # (-MiB, MiB) and (0, -MiB) sit on stripe boundaries: is_aligned
+    # used to answer True for both
+    @pytest.mark.parametrize(
+        "offset,length", [(-5, 10), (0, -3), (-1, 0), (-MiB, MiB), (0, -MiB)]
+    )
     def test_negative_input_same_error_everywhere(self, query, offset, length):
         with pytest.raises(ValueError, match="offset/length must be non-negative"):
             getattr(layout(), query)(offset, length)

@@ -75,7 +75,7 @@ def _ranges(ec, offset, length, lost=None) -> Dict[int, List[Tuple[int, int]]]:
     for e in ec.base.extents(offset, length):
         if lost is not None and e.ost not in lost:
             continue
-        lo = e.offset - e.stripe_index * ec.stripe_size
+        lo = e.offset - e.stripe_index * ec.base.stripe_size
         out.setdefault(e.stripe_index // ec.k, []).append((lo, lo + e.length))
     return out
 
@@ -87,7 +87,7 @@ def oracle_parity_updates(ec, offset, length):
         if union <= 0:
             continue
         covered = sum(hi - lo for lo, hi in ranges)
-        out.append((g, union, covered == ec.k * ec.stripe_size, ec.parity_osts(g)))
+        out.append((g, union, covered == ec.k * ec.base.stripe_size, ec.parity_osts(g)))
     return out
 
 
