@@ -18,7 +18,11 @@ from scipy import stats
 
 from .histogram import HistogramResult, linear_histogram
 
-__all__ = ["Moments", "EmpiricalDistribution"]
+__all__ = ["Moments", "EmpiricalDistribution", "trapezoid"]
+
+#: the trapezoidal rule; numpy 2.0 renamed ``np.trapz`` to
+#: ``np.trapezoid``, and the package supports numpy >= 1.24
+trapezoid = np.trapezoid if hasattr(np, "trapezoid") else getattr(np, "trapz")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class EmpiricalDistribution:
             f = np.zeros_like(t)
             center = 0.5 * (lo + hi)
             tri = np.maximum(1.0 - np.abs(t - center) / width, 0.0)
-            area = np.trapezoid(tri, t)
+            area = trapezoid(tri, t)
             f = tri / area if area > 0 else f
             return t, f
         pad = 0.05 * (hi - lo)

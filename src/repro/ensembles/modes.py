@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import signal
 
-from .distribution import EmpiricalDistribution
+from .distribution import EmpiricalDistribution, trapezoid
 
 __all__ = ["Mode", "detect_modes", "harmonics", "HarmonicStructure"]
 
@@ -82,7 +82,7 @@ def detect_modes(
     for i, p in enumerate(peaks):
         lo, hi = bounds[i], bounds[i + 1]
         seg = (t >= lo) & (t <= hi)
-        weight = float(np.trapezoid(f[seg], t[seg])) if seg.sum() > 1 else 0.0
+        weight = float(trapezoid(f[seg], t[seg])) if seg.sum() > 1 else 0.0
         modes.append(
             Mode(
                 location=float(t[p]),

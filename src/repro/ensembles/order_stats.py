@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .distribution import EmpiricalDistribution
+from .distribution import EmpiricalDistribution, trapezoid
 
 __all__ = [
     "nth_order_density",
@@ -44,7 +44,7 @@ def nth_order_density(
     t, f = dist.pdf_grid(n_points=n_points)
     big_f = np.clip(dist.cdf(t), 0.0, 1.0)
     fn = n * np.power(big_f, n - 1) * f
-    area = np.trapezoid(fn, t)
+    area = trapezoid(fn, t)
     if area > 0:
         fn = fn / area
     return t, fn

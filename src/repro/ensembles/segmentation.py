@@ -27,22 +27,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ipm.events import DATA_OPS, Trace
+from ..ipm.events import COLUMNS, DATA_OPS, Trace
 
 __all__ = ["strip_labels", "segment_by_gaps", "segment_by_generation"]
+
+
+def _relabel(trace: Trace, phases: Sequence[str]) -> Trace:
+    """A copy of the trace with its phase column replaced."""
+    columns = {name: trace.column(name) for name in COLUMNS}
+    columns["phase"] = phases
+    return Trace.from_columns(**columns)
 
 
 def strip_labels(trace: Trace) -> Trace:
     """A copy of the trace with phase labels removed (for testing the
     segmenters, and for simulating what a real IPM capture looks like)."""
-    out = Trace()
-    for i in range(len(trace)):
-        out.record(
-            trace._rank[i], trace._op[i], trace._path[i], trace._fd[i],
-            trace._offset[i], trace._size[i], trace._t_start[i],
-            trace._duration[i], phase="", degraded=trace._degraded[i],
-        )
-    return out
+    return _relabel(trace, [""] * len(trace))
 
 
 def segment_by_gaps(
@@ -91,18 +91,8 @@ def segment_by_gaps(
         if gap >= min_gap:
             boundaries.append(a[1] + gap / 2.0)
 
-    out = Trace()
-    for i in range(len(trace)):
-        t = trace._t_start[i]
-        idx = int(np.searchsorted(boundaries, t))
-        out.record(
-            trace._rank[i], trace._op[i], trace._path[i], trace._fd[i],
-            trace._offset[i], trace._size[i], trace._t_start[i],
-            trace._duration[i],
-            phase=f"{prefix}{idx}",
-            degraded=trace._degraded[i],
-        )
-    return out
+    idx = np.searchsorted(np.asarray(boundaries, dtype=float), trace.starts)
+    return _relabel(trace, [f"{prefix}{i}" for i in idx.tolist()])
 
 
 def segment_by_generation(
@@ -121,21 +111,16 @@ def segment_by_generation(
     wanted = set(ops)
     reads = {"read", "pread"}
     counters: Dict[Tuple[int, str], int] = defaultdict(int)
-    out = Trace()
-    for i in range(len(trace)):
-        op = trace._op[i]
+    labels: List[str] = []
+    for rank, op in zip(trace.ranks.tolist(), trace.ops.tolist()):
         label = ""
         if op in wanted:
             if per_kind:
                 kind = "R" if op in reads else "W"
             else:
                 kind = ""
-            key = (trace._rank[i], kind)
+            key = (rank, kind)
             counters[key] += 1
             label = f"{prefix}{kind}{counters[key]}"
-        out.record(
-            trace._rank[i], op, trace._path[i], trace._fd[i],
-            trace._offset[i], trace._size[i], trace._t_start[i],
-            trace._duration[i], phase=label, degraded=trace._degraded[i],
-        )
-    return out
+        labels.append(label)
+    return _relabel(trace, labels)

@@ -60,23 +60,21 @@ def trace_diagram(trace: Trace, nranks: Optional[int] = None) -> TraceDiagram:
     """Extract bar data from a trace (data ops become bars; zero-length
     metadata ops are kept as points so HDF5 metadata shows up in red, as
     in Figure 6a)."""
-    bars: List[TraceBar] = []
-    n = 0
-    for ev in trace:
-        if ev.op == "lseek":
-            continue
-        bars.append(
-            TraceBar(
-                rank=ev.rank,
-                t_start=ev.t_start,
-                t_end=ev.t_end,
-                kind=_kind_of(ev.op),
-            )
+    ops = trace.ops
+    keep = ops != "lseek"
+    ranks = trace.ranks[keep].tolist()
+    starts = trace.starts[keep]
+    ends = starts + trace.durations[keep]
+    bars = [
+        TraceBar(rank=rank, t_start=t0, t_end=t1, kind=_kind_of(op))
+        for rank, op, t0, t1 in zip(
+            ranks, ops[keep].tolist(), starts.tolist(), ends.tolist()
         )
-        n = max(n, ev.rank + 1)
+    ]
+    n = max(ranks, default=-1) + 1
     nranks = nranks if nranks is not None else n
-    t_min = min((b.t_start for b in bars), default=0.0)
-    t_max = max((b.t_end for b in bars), default=0.0)
+    t_min = float(starts.min()) if bars else 0.0
+    t_max = float(ends.max()) if bars else 0.0
     return TraceDiagram(bars=bars, nranks=nranks, t_min=t_min, t_max=t_max)
 
 

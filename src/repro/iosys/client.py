@@ -247,6 +247,13 @@ class LustreClient:
             engine, capacity=config.tasks_per_node, name=f"iotoken{node_id}"
         )
         self._slots = config.tasks_per_node
+        #: the per-burst discipline draw: slot counts in sorted order, their
+        #: weights, and this node's stream
+        self._disc_options = sorted(config.discipline_weights)
+        self._disc_weights = tuple(
+            config.discipline_weights[o] for o in self._disc_options
+        )
+        self._disc_stream = f"node{node_id}/discipline"
         self.writes = 0
         self.reads = 0
         #: RPC resends forced by stalled OSTs (fault-injection diagnostics)
@@ -276,13 +283,9 @@ class LustreClient:
         an ordering as a burst begins."""
         if self.token._in_use > 0 or self.token.n_waiting > 0:
             return
-        weights = self.config.discipline_weights
-        options = sorted(weights)
         slots = int(
             self.rng.choice_weighted(
-                f"node{self.node_id}/discipline",
-                options,
-                [weights[o] for o in options],
+                self._disc_stream, self._disc_options, self._disc_weights
             )
         )
         self._slots = max(min(slots, self.config.tasks_per_node), 1)

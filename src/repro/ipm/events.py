@@ -4,24 +4,55 @@ IPM-I/O "collects timestamped trace entries containing the libc call, its
 arguments, and its duration".  :class:`TraceEvent` is one such entry;
 :class:`Trace` is the merged, queryable collection for a run.
 
-The container is column-oriented under the hood (plain lists appended
-during the run, materialised to NumPy arrays on demand) so that a
-10,240-task trace stays cheap to collect -- the "lightweight and scalable"
-property the paper leans on.
+The container is column-oriented and owns its storage.  Every event is
+stored once, in one of two places: the *folded* columns, one NumPy array
+of a fixed dtype per column of :data:`COLUMNS` (object arrays for the
+strings, int64/float64/bool elsewhere), or the *tail*, one Python list
+per column that :meth:`Trace.record` appends to while a run is traced --
+the cheapest append there is.  The first query after a run moves the
+tail into the arrays, so later queries convert nothing.  No query walks
+the events one at a time: :meth:`Trace.filter` builds its mask from
+vectorised comparisons and gathers the selected events by fancy
+indexing, so slicing a 10,240-task trace into ensembles stays cheap --
+the "lightweight and scalable" property the paper leans on.  Iteration and indexing still yield plain Python ``int``/``float``/
+``bool``/``str`` values.
+
+Other modules read and build traces only through the public surface (the
+column properties and :meth:`Trace.column`, :meth:`Trace.record`,
+iteration, and :meth:`Trace.from_columns`), so the storage decision lives
+here alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["TraceEvent", "Trace", "DATA_OPS", "READ_OPS", "WRITE_OPS"]
+__all__ = [
+    "TraceEvent", "Trace", "COLUMNS", "DATA_OPS", "READ_OPS", "WRITE_OPS",
+]
 
 DATA_OPS = ("read", "write", "pread", "pwrite")
 READ_OPS = ("read", "pread")
 WRITE_OPS = ("write", "pwrite")
+
+#: the trace format: one column per :class:`TraceEvent` field, in field
+#: order, with the dtype its column property returns
+_DTYPES: Dict[str, Any] = {
+    "rank": np.int64,
+    "op": object,
+    "path": object,
+    "fd": np.int64,
+    "offset": np.int64,
+    "size": np.int64,
+    "t_start": np.float64,
+    "duration": np.float64,
+    "phase": object,
+    "degraded": bool,
+}
+COLUMNS = tuple(_DTYPES)
 
 
 @dataclass(frozen=True)
@@ -51,23 +82,24 @@ class TraceEvent:
         return self.size / self.duration
 
 
+def _reject_str(name: str, value: Any) -> None:
+    """A bare string would be read as the collection of its characters."""
+    if isinstance(value, str):
+        raise TypeError(
+            f"Trace.filter({name}=...) takes a collection, not the string "
+            f"{value!r}; pass {name}=[{value!r}]"
+        )
+
+
 class Trace:
     """Column-oriented event log with the filters the methodology needs."""
 
-    _COLUMNS = (
-        "rank",
-        "op",
-        "path",
-        "fd",
-        "offset",
-        "size",
-        "t_start",
-        "duration",
-        "phase",
-        "degraded",
-    )
-
     def __init__(self, events: Optional[Iterable[TraceEvent]] = None):
+        #: the folded events: one array per column, in :data:`COLUMNS` order
+        self._arrays: Dict[str, np.ndarray] = {
+            name: np.empty(0, dtype=dtype) for name, dtype in _DTYPES.items()
+        }
+        #: the tail: events recorded since the last fold, one list per column
         self._rank: List[int] = []
         self._op: List[str] = []
         self._path: List[str] = []
@@ -82,18 +114,46 @@ class Trace:
             for ev in events:
                 self.append(ev)
 
+    @classmethod
+    def from_columns(cls, **columns: Sequence[Any]) -> "Trace":
+        """A trace from one equal-length sequence or array per name in
+        :data:`COLUMNS`; each is copied into a column of its fixed dtype."""
+        if set(columns) != set(COLUMNS):
+            raise ValueError(
+                f"from_columns needs exactly the columns {COLUMNS}, got "
+                f"{tuple(sorted(columns))}"
+            )
+        arrays = {
+            name: np.array(columns[name], dtype=dtype)
+            for name, dtype in _DTYPES.items()
+        }
+        shapes = sorted({a.shape for a in arrays.values()})
+        if len(shapes) > 1 or len(shapes[0]) != 1:
+            raise ValueError(
+                f"columns must be 1-d of one length, got shapes {shapes}"
+            )
+        out = cls()
+        out._arrays = arrays
+        return out
+
+    def _columns(self) -> Dict[str, np.ndarray]:
+        """The folded columns, after moving the tail into them."""
+        if self._op:
+            for name, dtype in _DTYPES.items():
+                tail = getattr(self, f"_{name}")
+                self._arrays[name] = np.concatenate([
+                    self._arrays[name],
+                    np.fromiter(tail, dtype=dtype, count=len(tail)),
+                ])
+                tail.clear()
+        return self._arrays
+
     # -- collection --------------------------------------------------------
     def append(self, ev: TraceEvent) -> None:
-        self._rank.append(ev.rank)
-        self._op.append(ev.op)
-        self._path.append(ev.path)
-        self._fd.append(ev.fd)
-        self._offset.append(ev.offset)
-        self._size.append(ev.size)
-        self._t_start.append(ev.t_start)
-        self._duration.append(ev.duration)
-        self._phase.append(ev.phase)
-        self._degraded.append(ev.degraded)
+        self.record(
+            ev.rank, ev.op, ev.path, ev.fd, ev.offset, ev.size, ev.t_start,
+            ev.duration, phase=ev.phase, degraded=ev.degraded,
+        )
 
     def record(
         self,
@@ -121,82 +181,77 @@ class Trace:
         self._degraded.append(degraded)
 
     def extend(self, other: "Trace") -> None:
-        for col in self._COLUMNS:
-            getattr(self, f"_{col}").extend(getattr(other, f"_{col}"))
+        theirs = other._columns()
+        self._arrays = {
+            name: np.concatenate([col, theirs[name]])
+            for name, col in self._columns().items()
+        }
 
     def __len__(self) -> int:
-        return len(self._op)
+        return len(self._arrays["op"]) + len(self._op)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        for i in range(len(self)):
-            yield self[i]
+        columns = self._columns().values()
+        return map(TraceEvent, *(col.tolist() for col in columns))
 
     def __getitem__(self, i: int) -> TraceEvent:
-        return TraceEvent(
-            rank=self._rank[i],
-            op=self._op[i],
-            path=self._path[i],
-            fd=self._fd[i],
-            offset=self._offset[i],
-            size=self._size[i],
-            t_start=self._t_start[i],
-            duration=self._duration[i],
-            phase=self._phase[i],
-            degraded=self._degraded[i],
-        )
+        return TraceEvent(*(col.item(i) for col in self._columns().values()))
 
     # -- columns ------------------------------------------------------------
+    def column(self, name: str) -> np.ndarray:
+        """A copy of column ``name`` of :data:`COLUMNS`, of its fixed dtype."""
+        return self._columns()[name].copy()
+
     @property
     def ranks(self) -> np.ndarray:
-        return np.asarray(self._rank, dtype=np.int64)
+        return self.column("rank")
 
     @property
     def ops(self) -> np.ndarray:
-        return np.asarray(self._op, dtype=object)
+        return self.column("op")
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.asarray(self._size, dtype=np.int64)
+        return self.column("size")
 
     @property
     def offsets(self) -> np.ndarray:
-        return np.asarray(self._offset, dtype=np.int64)
+        return self.column("offset")
 
     @property
     def starts(self) -> np.ndarray:
-        return np.asarray(self._t_start, dtype=np.float64)
+        return self.column("t_start")
 
     @property
     def durations(self) -> np.ndarray:
-        return np.asarray(self._duration, dtype=np.float64)
+        return self.column("duration")
 
     @property
     def ends(self) -> np.ndarray:
-        return self.starts + self.durations
+        cols = self._columns()
+        return cols["t_start"] + cols["duration"]
 
     @property
     def paths(self) -> np.ndarray:
-        return np.asarray(self._path, dtype=object)
+        return self.column("path")
 
     @property
     def fds(self) -> np.ndarray:
-        return np.asarray(self._fd, dtype=np.int64)
+        return self.column("fd")
 
     @property
     def phases(self) -> np.ndarray:
-        return np.asarray(self._phase, dtype=object)
+        return self.column("phase")
 
     @property
     def degraded_flags(self) -> np.ndarray:
-        return np.asarray(self._degraded, dtype=bool)
+        return self.column("degraded")
 
     # -- filters ------------------------------------------------------------
     def _mask_select(self, mask: np.ndarray) -> "Trace":
-        idx = np.nonzero(mask)[0]
+        idx = np.flatnonzero(mask)
         out = Trace()
-        for col in self._COLUMNS:
-            src = getattr(self, f"_{col}")
-            getattr(out, f"_{col}").extend(src[i] for i in idx)
+        out._arrays = {name: col[idx] for name, col in self._columns().items()}
         return out
 
     def filter(
@@ -210,33 +265,26 @@ class Trace:
         t_min: Optional[float] = None,
         t_max: Optional[float] = None,
     ) -> "Trace":
+        _reject_str("ops", ops)
+        _reject_str("ranks", ranks)
+        cols = self._columns()
         mask = np.ones(len(self), dtype=bool)
         if ops is not None:
-            opset = set(ops)
-            mask &= np.fromiter(
-                (o in opset for o in self._op), dtype=bool, count=len(self)
-            )
+            mask &= np.isin(cols["op"], list(ops))
         if ranks is not None:
-            rset = set(ranks)
-            mask &= np.fromiter(
-                (r in rset for r in self._rank), dtype=bool, count=len(self)
-            )
+            mask &= np.isin(cols["rank"], list(ranks))
         if phase is not None:
-            mask &= np.fromiter(
-                (p == phase for p in self._phase), dtype=bool, count=len(self)
-            )
+            mask &= cols["phase"] == phase
         if path is not None:
-            mask &= np.fromiter(
-                (p == path for p in self._path), dtype=bool, count=len(self)
-            )
+            mask &= cols["path"] == path
         if min_size is not None:
-            mask &= self.sizes >= min_size
+            mask &= cols["size"] >= min_size
         if max_size is not None:
-            mask &= self.sizes <= max_size
+            mask &= cols["size"] <= max_size
         if t_min is not None:
-            mask &= self.starts >= t_min
+            mask &= cols["t_start"] >= t_min
         if t_max is not None:
-            mask &= self.starts < t_max
+            mask &= cols["t_start"] < t_max
         return self._mask_select(mask)
 
     def reads(self) -> "Trace":
@@ -254,10 +302,8 @@ class Trace:
         """Bytes moved by data ops.  Non-data events reuse the ``size``
         column for other payloads (``retry`` stores the resend count), so
         the sum is restricted to reads and writes."""
-        if not len(self):
-            return 0
-        sub = self.data_ops()
-        return int(sub.sizes.sum()) if len(sub) else 0
+        cols = self._columns()
+        return int(cols["size"][np.isin(cols["op"], DATA_OPS)].sum())
 
     @property
     def t_first(self) -> float:
@@ -273,19 +319,22 @@ class Trace:
 
     def phase_names(self) -> List[str]:
         """Distinct phase labels in order of first appearance."""
-        seen: Dict[str, None] = {}
-        for p in self._phase:
-            if p not in seen:
-                seen[p] = None
-        return list(seen)
+        return list(dict.fromkeys(self._columns()["phase"].tolist()))
 
     def by_phase(self) -> Dict[str, "Trace"]:
         return {p: self.filter(phase=p) for p in self.phase_names()}
 
     def per_rank_totals(self, nranks: Optional[int] = None) -> np.ndarray:
         """Sum of durations per rank (the t_k of the LLN analysis)."""
-        ranks = self.ranks
-        n = int(nranks if nranks is not None else (ranks.max() + 1 if len(ranks) else 0))
+        cols = self._columns()
+        ranks = cols["rank"]
+        top = int(ranks.max()) if len(ranks) else -1
+        n = top + 1 if nranks is None else int(nranks)
+        if n <= top:
+            raise ValueError(
+                f"per_rank_totals(nranks={n}) cannot hold rank {top}: "
+                f"nranks must exceed the largest rank in the trace"
+            )
         out = np.zeros(n, dtype=float)
-        np.add.at(out, ranks, self.durations)
+        np.add.at(out, ranks, cols["duration"])
         return out

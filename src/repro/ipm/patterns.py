@@ -151,9 +151,10 @@ def detect_patterns(
     """Run the online detector over a recorded trace (post-hoc mode)."""
     detector = PatternDetector()
     wanted = set(ops)
-    for i in range(len(trace)):
-        if trace._op[i] in wanted:
-            detector.observe(
-                trace._rank[i], trace._path[i], trace._offset[i], trace._size[i]
-            )
+    for rank, op, path, offset, size in zip(
+        trace.ranks.tolist(), trace.ops.tolist(), trace.paths.tolist(),
+        trace.offsets.tolist(), trace.sizes.tolist(),
+    ):
+        if op in wanted:
+            detector.observe(rank, path, offset, size)
     return detector

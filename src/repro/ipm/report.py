@@ -76,11 +76,11 @@ def build_report(
         total_bytes=trace.total_bytes,
         total_calls=len(trace),
     )
-    ops = sorted(set(trace._op))
+    ops = sorted(set(trace.ops))
     for op in ops:
         sub = trace.filter(ops=[op])
         report.ops[op] = _stats_for(sub, op)
-    for path in sorted(set(trace._path)):
+    for path in sorted(set(trace.paths)):
         sub = trace.filter(path=path).data_ops()
         if len(sub):
             report.files[path] = _stats_for(sub, path)

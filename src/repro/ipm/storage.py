@@ -20,20 +20,16 @@ captured in one session can be analysed later::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .events import Trace
+from .events import COLUMNS, Trace
 
 __all__ = ["save_trace", "load_trace"]
-
-_COLUMNS = (
-    "rank", "op", "path", "fd", "offset", "size", "t_start", "duration",
-    "phase", "degraded",
-)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -65,37 +61,19 @@ def load_trace(path: Union[str, Path]) -> Trace:
 
 
 def _save_npz(trace: Trace, path: Path) -> None:
+    columns = {name: trace.column(name) for name in COLUMNS}
     np.savez_compressed(
         path,
-        rank=trace.ranks,
-        op=np.asarray(trace._op, dtype=np.str_),
-        path=np.asarray(trace._path, dtype=np.str_),
-        fd=np.asarray(trace._fd, dtype=np.int64),
-        offset=trace.offsets,
-        size=trace.sizes,
-        t_start=trace.starts,
-        duration=trace.durations,
-        phase=np.asarray(trace._phase, dtype=np.str_),
-        degraded=trace.degraded_flags,
+        **{
+            name: col.astype(np.str_) if col.dtype == object else col
+            for name, col in columns.items()
+        },
     )
 
 
 def _load_npz(path: Path) -> Trace:
     data = np.load(path, allow_pickle=False)
-    trace = Trace()
-    n = len(data["op"])
-    trace._rank.extend(int(x) for x in data["rank"])
-    trace._op.extend(str(x) for x in data["op"])
-    trace._path.extend(str(x) for x in data["path"])
-    trace._fd.extend(int(x) for x in data["fd"])
-    trace._offset.extend(int(x) for x in data["offset"])
-    trace._size.extend(int(x) for x in data["size"])
-    trace._t_start.extend(float(x) for x in data["t_start"])
-    trace._duration.extend(float(x) for x in data["duration"])
-    trace._phase.extend(str(x) for x in data["phase"])
-    trace._degraded.extend(bool(x) for x in data["degraded"])
-    assert len(trace) == n
-    return trace
+    return Trace.from_columns(**{name: data[name] for name in COLUMNS})
 
 
 # -- jsonl --------------------------------------------------------------------
@@ -103,24 +81,8 @@ def _load_npz(path: Path) -> Trace:
 
 def _save_jsonl(trace: Trace, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(trace)):
-            fh.write(
-                json.dumps(
-                    {
-                        "rank": trace._rank[i],
-                        "op": trace._op[i],
-                        "path": trace._path[i],
-                        "fd": trace._fd[i],
-                        "offset": trace._offset[i],
-                        "size": trace._size[i],
-                        "t_start": trace._t_start[i],
-                        "duration": trace._duration[i],
-                        "phase": trace._phase[i],
-                        "degraded": trace._degraded[i],
-                    },
-                    separators=(",", ":"),
-                )
-            )
+        for ev in trace:
+            fh.write(json.dumps(dataclasses.asdict(ev), separators=(",", ":")))
             fh.write("\n")
 
 

@@ -17,7 +17,8 @@ seeds and comparing distributions.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Sequence
+from bisect import bisect_right
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,9 @@ class RngStreams:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        #: normalised CDFs of choice_weighted, one per distinct
+        #: ``(len(options), weights)``
+        self._cdfs: Dict[Tuple[int, Tuple[float, ...]], List[float]] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
@@ -65,11 +69,43 @@ class RngStreams:
     def choice_weighted(
         self, name: str, options: Sequence[Any], weights: Sequence[float]
     ) -> Any:
-        """Draw one of ``options`` with the given weights."""
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-        idx = int(self.stream(name).choice(len(options), p=w))
-        return options[idx]
+        """Draw one of ``options`` with the given weights.
+
+        Picks the same index as ``Generator.choice(len(options), p=p)``
+        with ``p = weights / sum(weights)``, from the same single
+        ``random()`` draw: numpy's choice inverts this normalised CDF with
+        a right-sided search.  ``tests/test_sim_rng.py`` pins that
+        equivalence index for index.  The CDF is validated and built once
+        per distinct option count and weights.
+        """
+        key = (len(options), tuple(weights))
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            cdf = self._cdfs[key] = _weighted_cdf(len(options), weights)
+        return options[bisect_right(cdf, self.stream(name).random())]
 
     def uniform(self, name: str, low: float, high: float) -> float:
         return float(self.stream(name).uniform(low, high))
+
+
+def _weighted_cdf(n: int, weights: Sequence[float]) -> List[float]:
+    """The normalised CDF ``Generator.choice`` builds from ``p``."""
+    if n == 0:
+        raise ValueError("choice_weighted needs at least one option")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(
+            f"choice_weighted got {n} options but {w.size} weights"
+        )
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError(
+            f"choice_weighted weights must be finite and >= 0, "
+            f"got {list(weights)}"
+        )
+    total = w.sum()
+    if not total > 0:
+        raise ValueError("choice_weighted weights must not all be zero")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    out: List[float] = cdf.tolist()
+    return out

@@ -74,7 +74,7 @@ class TestMadbenchUniqueFiles:
 
     def test_one_file_per_task(self):
         res = run_madbench(self.cfg(True))
-        paths = set(res.trace.writes()._path)
+        paths = set(res.trace.writes().paths)
         assert len(paths) == 8
 
     def test_offsets_restart_per_file(self):
@@ -94,7 +94,7 @@ class TestMadbenchUniqueFiles:
 
     def test_shared_mode_single_file(self):
         res = run_madbench(self.cfg(False))
-        assert len(set(res.trace.writes()._path)) == 1
+        assert len(set(res.trace.writes().paths)) == 1
 
 
 class TestAnalysisFrontDoor:

@@ -43,7 +43,7 @@ class TestIorPattern:
         res = run_ior(cfg)
         writes = res.trace.writes()
         assert len(set(writes.offsets.tolist())) == len(writes)
-        assert set(writes._path) == {cfg.path}
+        assert set(writes.paths) == {cfg.path}
 
     def test_phase_labels_per_repetition(self):
         cfg = IorConfig(

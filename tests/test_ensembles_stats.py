@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ensembles.distribution import EmpiricalDistribution
+from repro.ensembles.distribution import EmpiricalDistribution, trapezoid
 from repro.ensembles.histogram import (
     linear_histogram,
     log_histogram,
@@ -61,13 +61,13 @@ class TestEmpiricalDistribution:
             np.random.default_rng(1).normal(10, 2, 500)
         )
         t, f = d.pdf_grid()
-        assert np.trapezoid(f, t) == pytest.approx(1.0, abs=0.02)
+        assert trapezoid(f, t) == pytest.approx(1.0, abs=0.02)
 
     def test_pdf_grid_degenerate_sample(self):
         d = EmpiricalDistribution([5.0] * 10)
         t, f = d.pdf_grid()
         assert np.all(np.isfinite(f))
-        assert np.trapezoid(f, t) == pytest.approx(1.0, abs=0.05)
+        assert trapezoid(f, t) == pytest.approx(1.0, abs=0.05)
 
     def test_gaussianity_orders_shapes(self):
         rng = np.random.default_rng(2)
@@ -190,7 +190,7 @@ class TestOrderStatistics:
     def test_nth_order_density_integrates_to_one(self):
         d = EmpiricalDistribution(np.random.default_rng(3).normal(10, 2, 500))
         t, fn = nth_order_density(d, 100)
-        assert np.trapezoid(fn, t) == pytest.approx(1.0, abs=0.02)
+        assert trapezoid(fn, t) == pytest.approx(1.0, abs=0.02)
 
     def test_nth_order_density_peak_in_right_tail(self):
         d = EmpiricalDistribution(np.random.default_rng(4).normal(10, 2, 2000))

@@ -62,7 +62,7 @@ class TestInterceptor:
             return None
 
         w.run(fn)
-        assert all(p == "/data/file1" for p in coll.trace._path)
+        assert all(p == "/data/file1" for p in coll.trace.paths)
 
     def test_region_labels_tag_events(self):
         w, coll = traced_world(1)

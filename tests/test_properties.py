@@ -70,10 +70,9 @@ class TestTraceInvariants:
         assert len(seg) == len(tr)
         assert np.array_equal(seg.durations, tr.durations)
         # every data op got a generation label; non-data ops none
-        for i in range(len(tr)):
-            labelled = seg._phase[i] != ""
-            is_data = tr._op[i] in ("read", "write", "pread", "pwrite")
-            assert labelled == is_data
+        labelled = seg.phases != ""
+        is_data = np.isin(tr.ops, ["read", "write", "pread", "pwrite"])
+        assert np.array_equal(labelled, is_data)
 
     @settings(max_examples=50, deadline=None)
     @given(events_strategy)

@@ -60,8 +60,8 @@ class TestGapSegmentation:
         truth = res.trace.writes()
         recovered = seg.writes()
         for p in recovered.phase_names():
-            idx = [i for i, ph in enumerate(recovered._phase) if ph == p]
-            true_labels = {truth._phase[i] for i in idx}
+            idx = [i for i, ph in enumerate(recovered.phases) if ph == p]
+            true_labels = set(truth.phases[idx])
             assert len(true_labels) == 1  # no phase mixing
 
     def test_explicit_min_gap(self):

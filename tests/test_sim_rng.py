@@ -62,6 +62,55 @@ class TestRngStreams:
         r = RngStreams(0)
         assert r.choice_weighted("d", [42], [1.0]) == 42
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.35, 0.30, 0.35],
+            [1.0],
+            [0.0, 1.0],
+            [2.0, 0.0, 1.0],
+            [1e-9, 1.0, 1e9],
+            [3, 1, 4, 1, 5, 9, 2, 6],
+        ],
+    )
+    def test_choice_weighted_matches_generator_choice(self, weights):
+        # the cached CDF must draw exactly what Generator.choice draws, and
+        # consume exactly as much of the stream; a numpy release that
+        # changes choice() fails here instead of shifting the goldens
+        ours, ref = RngStreams(17), RngStreams(17)
+        options = list(range(len(weights)))
+        w = np.asarray(weights, dtype=float)
+        p = w / w.sum()
+        for _ in range(3000):
+            want = int(ref.stream("d").choice(len(options), p=p))
+            assert ours.choice_weighted("d", options, weights) == want
+        assert (
+            ours.stream("d").bit_generator.state
+            == ref.stream("d").bit_generator.state
+        )
+
+    def test_choice_weighted_rejects_empty_options(self):
+        with pytest.raises(ValueError, match="at least one option"):
+            RngStreams(0).choice_weighted("d", [], [])
+
+    def test_choice_weighted_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 options but 3 weights"):
+            RngStreams(0).choice_weighted("d", [1, 2], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_choice_weighted_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RngStreams(0).choice_weighted("d", [1, 2], [1.0, bad])
+
+    def test_choice_weighted_rejects_negative_weights(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            RngStreams(0).choice_weighted("d", [1, 2], [1.5, -0.5])
+
+    def test_choice_weighted_rejects_all_zero_weights(self):
+        # numpy used to warn on 0/0, then fail on "probabilities contain NaN"
+        with pytest.raises(ValueError, match="all be zero"):
+            RngStreams(0).choice_weighted("d", [1, 2], [0.0, 0.0])
+
     def test_uniform_bounds(self):
         r = RngStreams(9)
         draws = [r.uniform("u", 2.0, 5.0) for _ in range(500)]
