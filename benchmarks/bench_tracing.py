@@ -10,8 +10,6 @@
   moments match the trace's.
 """
 
-import sys
-
 import pytest
 
 from repro.apps.harness import SimJob
@@ -68,12 +66,8 @@ def test_profile_mode_memory_footprint(run_once, benchmark):
         return traced, profiled
 
     traced, profiled = run_once(scenario)
-    # trace memory: conservative estimate from the column lists
-    trace_bytes = sum(
-        sys.getsizeof(getattr(traced.collector.trace, f"_{c}"))
-        for c in ("rank", "op", "path", "fd", "offset", "size",
-                  "t_start", "duration", "phase", "degraded")
-    )
+    # trace memory: the column storage, folded or not
+    trace_bytes = traced.collector.trace.nbytes()
     profile_bytes = profiled.collector.profile.nbytes()
     benchmark.extra_info["trace_events"] = len(traced.collector.trace)
     benchmark.extra_info["trace_bytes"] = trace_bytes

@@ -84,6 +84,9 @@ class H5File:
         shared: Dict,
     ):
         self.ctx = ctx
+        #: the rank's traced I/O handle, bound once (not per call through
+        #: the context's attribute fallback)
+        self.io = ctx.io
         self.path = path
         self.fd = fd
         self.alignment = alignment
@@ -181,7 +184,7 @@ class H5File:
         """
         nbytes = ds.slab_stride if self.alignment else ds.slab_bytes
         offset = ds.slab_offset(self.ctx.rank, record)
-        result = yield from self.ctx.io.pwrite(self.fd, nbytes, offset)
+        result = yield from self.io.pwrite(self.fd, nbytes, offset)
         return result
 
     def read_record(self, ds: H5Dataset, record: int, rank: Optional[int] = None):
@@ -192,7 +195,7 @@ class H5File:
         offset = ds.slab_offset(
             self.ctx.rank if rank is None else rank, record
         )
-        result = yield from self.ctx.io.pread(self.fd, nbytes, offset)
+        result = yield from self.io.pread(self.fd, nbytes, offset)
         return result
 
     def finish_step(self, ds: H5Dataset):
@@ -220,13 +223,13 @@ class H5File:
             while pending > 0:
                 chunk = min(pending, 1 * MiB)
                 chunk = align_up(chunk, self.alignment) if self.alignment else chunk
-                yield from self.ctx.io.pwrite(self.fd, chunk, cursor)
+                yield from self.io.pwrite(self.fd, chunk, cursor)
                 cursor += chunk
                 pending -= chunk
             self._shared["pending_meta_bytes"] = 0
             self._shared["meta_cursor"] = cursor
-        yield from self.ctx.io.fsync(self.fd)
-        yield from self.ctx.io.close(self.fd)
+        yield from self.io.fsync(self.fd)
+        yield from self.io.close(self.fd)
         yield from comm.barrier()
         return None
 
@@ -242,8 +245,8 @@ class H5File:
                 continue
             # B-tree block read, then synchronous small write
             offset = shared["meta_cursor"]
-            yield from self.ctx.io.pread(self.fd, self.meta_txn_bytes, offset)
-            yield from self.ctx.io.pwrite(self.fd, self.meta_txn_bytes, offset)
+            yield from self.io.pread(self.fd, self.meta_txn_bytes, offset)
+            yield from self.io.pwrite(self.fd, self.meta_txn_bytes, offset)
             shared["meta_cursor"] = offset + self.meta_txn_bytes
             if self.meta_txn_cost > 0:
                 dispatch = self.meta_txn_cost * self.ctx.iosys.rng.lognormal_factor(

@@ -34,6 +34,9 @@ class MpiFile:
 
     def __init__(self, ctx: RankContext, path: str, fd: int):
         self.ctx = ctx
+        #: the rank's traced I/O handle, bound once (not per call through
+        #: the context's attribute fallback)
+        self.io = ctx.io
         self.path = path
         self.fd = fd
 
@@ -64,21 +67,21 @@ class MpiFile:
     # -- independent access --------------------------------------------------
     def write_at(self, offset: int, nbytes: int):
         """Generator -> IoResult (MPI_File_write_at)."""
-        return (yield from self.ctx.io.pwrite(self.fd, nbytes, offset))
+        return (yield from self.io.pwrite(self.fd, nbytes, offset))
 
     def read_at(self, offset: int, nbytes: int):
         """Generator -> IoResult (MPI_File_read_at)."""
-        return (yield from self.ctx.io.pread(self.fd, nbytes, offset))
+        return (yield from self.io.pread(self.fd, nbytes, offset))
 
     def seek(self, offset: int):
-        return (yield from self.ctx.io.lseek(self.fd, offset))
+        return (yield from self.io.lseek(self.fd, offset))
 
     def write(self, nbytes: int):
         """Generator -> IoResult at the current file pointer."""
-        return (yield from self.ctx.io.write(self.fd, nbytes))
+        return (yield from self.io.write(self.fd, nbytes))
 
     def read(self, nbytes: int):
-        return (yield from self.ctx.io.read(self.fd, nbytes))
+        return (yield from self.io.read(self.fd, nbytes))
 
     # -- collective access ------------------------------------------------------
     def write_at_all(
@@ -164,7 +167,7 @@ class MpiFile:
         return result
 
     def close(self):
-        yield from self.ctx.io.close(self.fd)
+        yield from self.io.close(self.fd)
         return None
 
 

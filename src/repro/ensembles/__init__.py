@@ -47,7 +47,7 @@ from .order_stats import (
 from .progress import ProgressCurve, deterioration_trend, phase_progress
 from .segmentation import segment_by_gaps, segment_by_generation, strip_labels
 from .timeseries import RateCurve, aggregate_rate, plateaus
-from .tracevis import TraceBar, TraceDiagram, render, trace_diagram
+from .tracevis import TraceDiagram, render, trace_diagram
 
 __all__ = [
     "AnalysisReport",
@@ -112,7 +112,6 @@ __all__ = [
     "RateCurve",
     "aggregate_rate",
     "plateaus",
-    "TraceBar",
     "TraceDiagram",
     "render",
     "trace_diagram",

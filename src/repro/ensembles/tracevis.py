@@ -12,28 +12,27 @@ statistical views do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..ipm.events import READ_OPS, WRITE_OPS, Trace
 
-__all__ = ["TraceBar", "TraceDiagram", "trace_diagram", "render"]
+__all__ = ["TraceDiagram", "trace_diagram", "render"]
 
 _OP_CHARS = {"write": "#", "read": "r", "meta": "."}
 
 
-@dataclass(frozen=True)
-class TraceBar:
-    rank: int
-    t_start: float
-    t_end: float
-    kind: str  # "write" | "read" | "meta"
-
-
 @dataclass
 class TraceDiagram:
-    bars: List[TraceBar]
+    """One bar per traced event, held as columns: bar ``i`` covers
+    ``[t_start[i], t_end[i]]`` on rank ``ranks[i]`` and is drawn as
+    ``kinds[i]`` ("write" | "read" | "meta")."""
+
+    ranks: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    kinds: np.ndarray
     nranks: int
     t_min: float
     t_max: float
@@ -44,16 +43,9 @@ class TraceDiagram:
         span = self.t_max - self.t_min
         if span <= 0 or self.nranks == 0:
             return 0.0
-        busy = sum(b.t_end - b.t_start for b in self.bars)
+        # Python's sum, bar by bar: the float order busy= is rendered from
+        busy = sum((self.t_end - self.t_start).tolist())
         return busy / (span * self.nranks)
-
-
-def _kind_of(op: str) -> str:
-    if op in WRITE_OPS:
-        return "write"
-    if op in READ_OPS:
-        return "read"
-    return "meta"
 
 
 def trace_diagram(trace: Trace, nranks: Optional[int] = None) -> TraceDiagram:
@@ -62,20 +54,22 @@ def trace_diagram(trace: Trace, nranks: Optional[int] = None) -> TraceDiagram:
     in Figure 6a)."""
     ops = trace.ops
     keep = ops != "lseek"
-    ranks = trace.ranks[keep].tolist()
+    ops = ops[keep]
+    ranks = trace.ranks[keep]
     starts = trace.starts[keep]
     ends = starts + trace.durations[keep]
-    bars = [
-        TraceBar(rank=rank, t_start=t0, t_end=t1, kind=_kind_of(op))
-        for rank, op, t0, t1 in zip(
-            ranks, ops[keep].tolist(), starts.tolist(), ends.tolist()
-        )
-    ]
-    n = max(ranks, default=-1) + 1
-    nranks = nranks if nranks is not None else n
-    t_min = float(starts.min()) if bars else 0.0
-    t_max = float(ends.max()) if bars else 0.0
-    return TraceDiagram(bars=bars, nranks=nranks, t_min=t_min, t_max=t_max)
+    kinds = np.where(
+        np.isin(ops, WRITE_OPS),
+        "write",
+        np.where(np.isin(ops, READ_OPS), "read", "meta"),
+    )
+    nranks = nranks if nranks is not None else int(ranks.max(initial=-1)) + 1
+    t_min = float(starts.min()) if len(starts) else 0.0
+    t_max = float(ends.max()) if len(ends) else 0.0
+    return TraceDiagram(
+        ranks=ranks, t_start=starts, t_end=ends, kinds=kinds,
+        nranks=nranks, t_min=t_min, t_max=t_max,
+    )
 
 
 def render(
@@ -98,13 +92,16 @@ def render(
     ranks_per_row = diagram.nranks / rows
     grid = [[" "] * width for _ in range(rows)]
     priority = {"write": 3, "read": 2, "meta": 1, " ": 0}
-    for bar in diagram.bars:
-        row = min(int(bar.rank / ranks_per_row), rows - 1)
-        c0 = int((bar.t_start - diagram.t_min) / span * (width - 1))
-        c1 = int((bar.t_end - diagram.t_min) / span * (width - 1))
-        ch = _OP_CHARS[bar.kind]
+    for rank, t0, t1, kind in zip(
+        diagram.ranks.tolist(), diagram.t_start.tolist(),
+        diagram.t_end.tolist(), diagram.kinds.tolist(),
+    ):
+        row = min(int(rank / ranks_per_row), rows - 1)
+        c0 = int((t0 - diagram.t_min) / span * (width - 1))
+        c1 = int((t1 - diagram.t_min) / span * (width - 1))
+        ch = _OP_CHARS[kind]
         for c in range(max(c0, 0), min(c1, width - 1) + 1):
-            if priority[bar.kind] >= priority.get(_invert(grid[row][c]), 0):
+            if priority[kind] >= priority.get(_invert(grid[row][c]), 0):
                 grid[row][c] = ch
     lines = []
     if title:

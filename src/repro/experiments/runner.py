@@ -54,6 +54,10 @@ class ExperimentResult:
         return all(self.verdicts.values())
 
 
+#: the exact types JSON holds as they are
+_PLAIN = frozenset((str, int, bool, float, type(None)))
+
+
 def _json_value(obj: Any) -> Any:
     """Coerce one result value into plain, deterministic JSON structures.
 
@@ -62,7 +66,16 @@ def _json_value(obj: Any) -> Any:
     for their own ``main()`` rendering.  The JSON boundary must flatten
     them: a ``str(obj)`` fallback would embed memory addresses and make
     byte-identical runs produce differing files.
+
+    Values that already are plain -- exactly ``str``/``int``/``bool``/
+    ``float``/``None``, or a list of them such as an array's ``tolist()``
+    -- are returned (lists copied) before any slower test runs.
     """
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is list and all(type(v) in _PLAIN for v in obj):
+        return list(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _json_value(getattr(obj, f.name))

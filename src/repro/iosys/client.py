@@ -254,6 +254,9 @@ class LustreClient:
             config.discipline_weights[o] for o in self._disc_options
         )
         self._disc_stream = f"node{node_id}/discipline"
+        #: this node's service-noise streams
+        self._write_stream = f"node{node_id}/write"
+        self._read_stream = f"node{node_id}/read"
         self.writes = 0
         self.reads = 0
         #: RPC resends forced by stalled OSTs (fault-injection diagnostics)
@@ -680,7 +683,7 @@ class LustreClient:
                 full_stripe_discount=FULL_STRIPE_REVOKE_DISCOUNT,
             )
             factor = self.osts.service_factor(
-                f"node{self.node_id}/write", now=self.engine.now
+                self._write_stream, now=self.engine.now
             )
             # a mirrored (or parity-bearing) transfer completes when its
             # slowest copy/unit does
@@ -816,7 +819,7 @@ class LustreClient:
                     serving, offset, nbytes
                 )
             factor = self.osts.service_factor(
-                f"node{self.node_id}/read", now=self.engine.now
+                self._read_stream, now=self.engine.now
             )
             factor *= self.osts.slow_factor(
                 serving, offset, nbytes, now=self.engine.now

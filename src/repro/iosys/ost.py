@@ -12,14 +12,14 @@ OST pool's job is the *latency/penalty* side of the model plus accounting:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..sim.rng import RngStreams
 from .erasure import ErasureCodedLayout
 from .machine import MachineConfig
-from .striping import StripeLayout
+from .striping import StripeLayout, partial_stripe_count
 
 __all__ = ["OstPool"]
 
@@ -53,6 +53,8 @@ class OstPool:
         self.recon_bytes = 0
         #: per-OST reconstruction-read load (rebuild pressure on survivors)
         self.recon_reads = np.zeros(config.n_osts, dtype=float)
+        #: service stream -> its (tail test, tail factor) stream names
+        self._tail_names: Dict[str, Tuple[str, str]] = {}
 
     # -- penalties ---------------------------------------------------------
     def write_penalty(
@@ -69,18 +71,25 @@ class OstPool:
         behind every other client hammering the same OST, so its effective
         cost grows with the population (see FsArbiter.contention).
         ``tenant`` attributes the traffic on shared machines.
+
+        The stripe span is derived once, inside ``bytes_per_ost`` (which
+        also validates the extent); the RPC and partial-stripe counts are
+        plain arithmetic on the extent.
         """
-        cfg = self.config
-        penalty = 0.0
-        n_rpcs = layout.rpcs_for(length, cfg.rpc_size)
-        penalty += n_rpcs * cfg.rpc_overhead
-        partial = layout.partial_stripes(offset, length)
-        if partial and cfg.rmw_cost > 0:
-            self.rmw_events += partial
-            penalty += partial * cfg.rmw_cost * contention
-        tel = self.telemetry
         acc = layout.bytes_per_ost(offset, length)
-        base, extra = divmod(n_rpcs, len(acc)) if acc else (0, 0)
+        if not acc:
+            return 0.0
+        cfg = self.config
+        rpc_size = cfg.rpc_size
+        n_rpcs = (length + rpc_size - 1) // rpc_size
+        penalty = n_rpcs * cfg.rpc_overhead
+        if cfg.rmw_cost > 0:
+            partial = partial_stripe_count(layout.stripe_size, offset, length)
+            if partial:
+                self.rmw_events += partial
+                penalty += partial * cfg.rmw_cost * contention
+        tel = self.telemetry
+        base, extra = divmod(n_rpcs, len(acc))
         # RPCs round-robin over the touched OSTs: ost i of n gets one
         # extra while i < n_rpcs mod n
         for i, ost in enumerate(sorted(acc)):
@@ -311,11 +320,15 @@ class OstPool:
         if cfg.faults is not None and now is not None:
             tail_prob = min(tail_prob * cfg.faults.tail_boost(now), 1.0)
         if tail_prob > 0:
-            u = self.rng.stream(stream + "/tail").uniform()
-            if u < tail_prob:
-                factor *= self.rng.uniform(
-                    stream + "/tailf", 1.0, cfg.tail_factor
+            names = self._tail_names.get(stream)
+            if names is None:
+                names = self._tail_names[stream] = (
+                    stream + "/tail", stream + "/tailf"
                 )
+            # random() draws what uniform() on [0, 1) would, value and
+            # stream state alike (pinned in tests/test_sim_rng.py)
+            if self.rng.stream(names[0]).random() < tail_prob:
+                factor *= self.rng.uniform(names[1], 1.0, cfg.tail_factor)
         return factor
 
     # -- diagnostics ----------------------------------------------------------

@@ -416,7 +416,10 @@ class PosixIo:
         result: IoResult = yield from self.client.write(
             self.task, of.file, offset, nbytes, sync=bool(of.flags & O_SYNC)
         )
-        of.file.size = max(of.file.size, offset + nbytes)
+        if nbytes:
+            # a zero-byte write has no effect beyond its return value
+            # (POSIX write(2)): it does not extend the file
+            of.file.size = max(of.file.size, offset + nbytes)
         return result
 
     def _pread(self, of: _OpenFile, offset: int, nbytes: int):

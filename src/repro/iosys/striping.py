@@ -15,7 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-__all__ = ["StripeLayout", "Extent"]
+__all__ = ["StripeLayout", "Extent", "partial_stripe_count"]
+
+
+def partial_stripe_count(stripe_size: int, offset: int, length: int) -> int:
+    """Stripes the non-empty extent ``[offset, offset+length)`` touches
+    but does not fully cover: at most the head and the tail stripe, and
+    only one when the extent lies inside a single stripe.  Arithmetic
+    only, no validation (see :meth:`StripeLayout.partial_stripes`)."""
+    head = offset % stripe_size
+    ragged = (head != 0) + ((offset + length) % stripe_size != 0)
+    return min(ragged, 1) if head + length <= stripe_size else ragged
 
 
 @dataclass(frozen=True)
@@ -113,8 +123,14 @@ class StripeLayout:
             return {}
         ss, sc = self.stripe_size, self.stripe_count
         start, n_osts = self.start_ost, self.n_osts
-        if first == last:  # single-stripe extent: the common case
+        if first == last:  # single-stripe extent
             return {(start + first % sc) % n_osts: length}
+        if last - first < sc:  # one stripe per device, as GCRM's records
+            acc = {(start + first % sc) % n_osts: (first + 1) * ss - offset}
+            for k in range(first + 1, last):
+                acc[(start + k % sc) % n_osts] = ss
+            acc[(start + last % sc) % n_osts] = offset + length - last * ss
+            return acc
         n = last - first + 1
         rounds, extra = divmod(n, sc)
         tail_dev = (n - 1) % sc
@@ -154,13 +170,10 @@ class StripeLayout:
         GCRM alignment optimization removes.  Only the head and the tail
         stripe can be partial.
         """
-        first, last = self.stripe_span(offset, length)
+        self.stripe_span(offset, length)  # validates
         if length == 0:
             return 0
-        ragged = (offset % self.stripe_size != 0) + (
-            (offset + length) % self.stripe_size != 0
-        )
-        return min(ragged, 1) if first == last else ragged
+        return partial_stripe_count(self.stripe_size, offset, length)
 
     def is_aligned(self, offset: int, length: int) -> bool:
         """True when the extent starts and ends on stripe boundaries."""

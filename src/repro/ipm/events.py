@@ -25,6 +25,7 @@ here alone.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -189,6 +190,16 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self._arrays["op"]) + len(self._op)
+
+    def nbytes(self) -> int:
+        """Bytes held by the trace's own storage: every folded column's
+        buffer plus every tail list, wherever the events sit now.  The
+        measure beside :meth:`IoProfile.nbytes`; the string and number
+        objects the object columns and the tail point to are not
+        counted."""
+        folded = sum(col.nbytes for col in self._arrays.values())
+        tail = sum(sys.getsizeof(getattr(self, f"_{name}")) for name in _DTYPES)
+        return folded + tail
 
     def __iter__(self) -> Iterator[TraceEvent]:
         columns = self._columns().values()

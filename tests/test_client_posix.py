@@ -137,6 +137,25 @@ class TestPosixDataOps:
 
         assert single(w, fn)
 
+    def test_zero_length_write_past_eof_does_not_grow_file(self):
+        w, iosys = make_system(1)
+
+        def fn(ctx):
+            px = iosys.posix_for(0)
+            fd = yield from px.open("/f", O_CREAT | O_RDWR)
+            yield from px.pwrite(fd, 100, 0)
+            yield from px.pwrite(fd, 0, 10**9)
+            assert (yield from px.stat("/f")) == 100
+            assert (yield from px.lseek(fd, 0, SEEK_END)) == 100
+            # write() goes through the same path and leaves the offset
+            yield from px.lseek(fd, 10**9, SEEK_SET)
+            yield from px.write(fd, 0)
+            assert px._fds[fd].offset == 10**9
+            assert (yield from px.stat("/f")) == 100
+            return True
+
+        assert single(w, fn)
+
     def test_write_to_readonly_fd_rejected(self):
         w, iosys = make_system(1)
 

@@ -229,11 +229,11 @@ class TestTracevis:
 
     def test_diagram_extracts_bars(self):
         d = trace_diagram(self.make_trace())
-        kinds = {b.kind for b in d.bars}
+        kinds = set(d.kinds.tolist())
         assert kinds == {"write", "read", "meta"}
         assert d.nranks == 8
         # lseek excluded
-        assert len(d.bars) == 17
+        assert len(d.kinds) == 17
 
     def test_busy_fraction_in_unit_range(self):
         d = trace_diagram(self.make_trace())

@@ -62,6 +62,18 @@ class TestTraceBasics:
         assert len(a) == 10
 
 
+    def test_nbytes_counts_the_tail_and_the_folded_columns(self):
+        tr = Trace()
+        empty = tr.nbytes()
+        for i in range(1000):
+            tr.record(i % 7, "write", "/f", 3, i, 100, float(i), 1.0)
+        # one pointer per event in each tail list, at least
+        assert tr.nbytes() - empty >= 1000 * 8 * len(COLUMNS)
+        tr.ops  # any query folds the tail into the arrays
+        # 8 bytes per event in nine columns, 1 in the bool column
+        assert tr.nbytes() >= 1000 * (8 * (len(COLUMNS) - 1) + 1)
+
+
 class TestFilters:
     def test_reads_writes_split(self):
         tr = sample_trace()

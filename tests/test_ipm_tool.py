@@ -1,6 +1,7 @@
 """Unit tests for the IPM-I/O interceptor, profiles, and reports."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,50 @@ def traced_world(ntasks=2, mode="trace", overhead=0.0):
         lambda rank: {"io": IpmIo.wrap(iosys.posix_for(rank), collector)}
     )
     return w, collector
+
+
+class _InstantPosix:
+    """A POSIX layer whose every call completes at once, so the clock
+    moves only by what the interceptor itself charges."""
+
+    def __init__(self, engine):
+        self.iosys = SimpleNamespace(engine=engine)
+        self.task = 0
+        self._fds = {}
+
+    def _instant(self, value=None):
+        yield self.iosys.engine.timeout(0.0)
+        return value
+
+    def open(self, path, flags=0):
+        return self._instant(3)
+
+    def close(self, fd):
+        return self._instant()
+
+    def stat(self, path):
+        return self._instant(0)
+
+    def write(self, fd, nbytes):
+        return self._instant()
+
+    def pwrite(self, fd, nbytes, offset):
+        return self._instant()
+
+    def read(self, fd, nbytes):
+        return self._instant()
+
+    def pread(self, fd, nbytes, offset):
+        return self._instant()
+
+    def lseek(self, fd, offset, whence=0):
+        return self._instant(offset)
+
+    def fadvise(self, fd, advice):
+        return self._instant()
+
+    def fsync(self, fd):
+        return self._instant()
 
 
 class TestInterceptor:
@@ -107,6 +152,40 @@ class TestInterceptor:
         t1 = w1.run(fn)[0]
         t2 = w2.run(fn)[0]
         assert t2 >= t1 + 0.11  # 11 traced calls with overhead
+
+    def test_every_traced_call_pays_the_overhead_once(self):
+        overhead = 0.25
+        w = World(nranks=1)
+        collector = IpmCollector(overhead=overhead)
+        io = IpmIo.wrap(_InstantPosix(w.engine), collector)
+        calls = {
+            "open": lambda: io.open("/f", O_CREAT | O_RDWR),
+            "write": lambda: io.write(3, 10),
+            "pwrite": lambda: io.pwrite(3, 10, 0),
+            "read": lambda: io.read(3, 10),
+            "pread": lambda: io.pread(3, 10, 0),
+            "lseek": lambda: io.lseek(3, 0),
+            "fadvise": lambda: io.fadvise(3, "sequential"),
+            "fsync": lambda: io.fsync(3),
+            "stat": lambda: io.stat("/f"),
+            "close": lambda: io.close(3),
+        }
+
+        def fn(ctx):
+            advanced = {}
+            for name, call in calls.items():
+                t0 = ctx.now
+                yield from call()
+                advanced[name] = ctx.now - t0
+            return advanced
+
+        advanced = w.run(fn)[0]
+        assert advanced == {name: pytest.approx(overhead) for name in calls}
+        assert list(collector.trace.ops) == list(calls)
+        # the charge lands inside each recorded duration
+        assert collector.trace.durations.tolist() == pytest.approx(
+            [overhead] * len(calls)
+        )
 
     def test_profile_mode_collects_no_events(self):
         w, coll = traced_world(1, mode="profile")

@@ -115,3 +115,15 @@ class TestRngStreams:
         r = RngStreams(9)
         draws = [r.uniform("u", 2.0, 5.0) for _ in range(500)]
         assert all(2.0 <= d <= 5.0 for d in draws)
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+    def test_uniform_default_is_random(self, seed):
+        # the OST tail test draws random() where it once drew uniform():
+        # same values, same stream consumption, so the goldens stay put
+        ours, ref = RngStreams(seed), RngStreams(seed)
+        for _ in range(2000):
+            assert ours.stream("t").random() == ref.stream("t").uniform()
+        assert (
+            ours.stream("t").bit_generator.state
+            == ref.stream("t").bit_generator.state
+        )

@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 from repro.iosys.erasure import ErasureCodedLayout
 from repro.iosys.locks import ExtentLockTracker
+from repro.iosys.machine import MachineConfig
+from repro.iosys.ost import OstPool
 from repro.iosys.striping import StripeLayout
+from repro.sim.rng import RngStreams
 
 # -- the oracle: everything derived from StripeLayout.extents -------------------
 
@@ -164,6 +167,53 @@ def test_footprint_queries_match_walk(case):
         oracle_bytes_per_ost(lay, offset, length)
     )
     assert lay.boundary_crossings(offset, length) == max(len(exts) - 1, 0)
+
+
+# -- OstPool.write_penalty ---------------------------------------------------------
+
+
+def oracle_write_penalty(pool, layout, offset, length, contention):
+    """The penalty as three separate layout queries computed it, with
+    the two stripe queries answered by the walk."""
+    cfg = pool.config
+    penalty = 0.0
+    n_rpcs = layout.rpcs_for(length, cfg.rpc_size)
+    penalty += n_rpcs * cfg.rpc_overhead
+    partial = oracle_partial_stripes(layout, offset, length)
+    if partial and cfg.rmw_cost > 0:
+        pool.rmw_events += partial
+        penalty += partial * cfg.rmw_cost * contention
+    acc = oracle_bytes_per_ost(layout, offset, length)
+    base, extra = divmod(n_rpcs, len(acc)) if acc else (0, 0)
+    for i, ost in enumerate(sorted(acc)):
+        pool.bytes_written[ost] += acc[ost]
+        pool.rpcs[ost] += base + (1 if i < extra else 0)
+    return penalty
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    layout_and_extent(),
+    st.sampled_from([1, 7, 4096, 1 << 20]),  # rpc_size
+    st.sampled_from([0.0, 2.5e-4]),  # rpc_overhead
+    st.sampled_from([0.0, 0.013]),  # rmw_cost
+    st.sampled_from([1.0, 3.7]),  # contention
+)
+def test_write_penalty_matches_separate_queries(
+    case, rpc_size, rpc_overhead, rmw_cost, contention
+):
+    lay, offset, length = case
+    cfg = MachineConfig.testbox(
+        n_osts=lay.n_osts, default_stripe_count=1, rpc_size=rpc_size,
+        rpc_overhead=rpc_overhead, rmw_cost=rmw_cost,
+    )
+    new, old = OstPool(cfg, RngStreams(0)), OstPool(cfg, RngStreams(0))
+    got = new.write_penalty(lay, offset, length, contention)
+    want = oracle_write_penalty(old, lay, offset, length, contention)
+    assert got.hex() == want.hex()
+    assert new.rmw_events == old.rmw_events
+    assert new.bytes_written.tolist() == old.bytes_written.tolist()
+    assert new.rpcs.tolist() == old.rpcs.tolist()
 
 
 # -- ExtentLockTracker --------------------------------------------------------------
