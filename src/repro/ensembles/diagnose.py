@@ -51,12 +51,20 @@ expressed as a test over the trace's ensembles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..ipm.events import READ_OPS, WRITE_OPS, Trace
 from .distribution import EmpiricalDistribution
+from .locate import (
+    _check_params,
+    _per_byte,
+    _run_window,
+    find_masked_faults,
+    find_rebuild_pressure,
+    find_transient_faults,
+)
 from .modes import detect_modes, harmonics
 from .progress import deterioration_trend, phase_progress
 
@@ -119,8 +127,12 @@ def diagnose(
         findings.extend(_check_alignment(trace, stripe_size))
     findings.extend(_check_lln(trace, nranks))
     findings.extend(_check_transient_fault(trace, layout))
-    findings.extend(_check_failover_mask(trace, layout))
-    findings.extend(_check_ec_degraded(trace, layout))
+    findings.extend(
+        _check_absorbed(trace, layout, find_masked_faults, _FAILOVER)
+    )
+    findings.extend(
+        _check_absorbed(trace, layout, find_rebuild_pressure, _EC_DEGRADED)
+    )
 
     findings.sort(key=lambda f: f.severity, reverse=True)
     return findings
@@ -408,6 +420,12 @@ def _check_alignment(trace: Trace, stripe_size: int) -> List[Finding]:
     ]
 
 
+def _slowdown_severity(slowdown: float) -> float:
+    """Severity of a window running ``slowdown`` x slow: 0.5 at 1x, +0.1
+    per doubling, capped at 1."""
+    return float(min(0.5 + 0.1 * np.log2(max(slowdown, 1.0)), 1.0))
+
+
 def _check_transient_fault(trace: Trace, layout=None) -> List[Finding]:
     """Storage health changed mid-run: a contiguous window of far-slower
     events (and/or clustered client RPC retries), healthy on both sides.
@@ -417,13 +435,11 @@ def _check_transient_fault(trace: Trace, layout=None) -> List[Finding]:
     reports the window alone, from the time-clustering of slow events.
     """
     if layout is not None:
-        from .locate import find_transient_faults
-
         suspects = find_transient_faults(trace, layout)
         if not suspects:
             return []
         top = suspects[0]
-        sev = min(0.5 + 0.1 * np.log2(max(top.slowdown, 1.0)), 1.0)
+        sev = _slowdown_severity(top.slowdown)
         if top.n_retries > 0:
             sev = min(sev + 0.1, 1.0)
         wall = trace.span or 1.0
@@ -456,49 +472,25 @@ def _check_transient_fault(trace: Trace, layout=None) -> List[Finding]:
             )
         ]
 
-    # no layout: time-only localisation from the slow-event cluster
+    # no layout: time-only localisation from the slow-event cluster, which
+    # the retry meta-events widen (or stand in for)
     data = trace.data_ops()
-    sizes = data.sizes.astype(float)
-    durations = data.durations
-    ok = (sizes > 0) & (durations > 0)
-    if ok.sum() < 16:
-        return []
-    per_byte = durations[ok] / sizes[ok]
-    starts, ends = data.starts[ok], data.ends[ok]
-    baseline = float(np.median(per_byte))
-    if baseline <= 0:
-        return []
-    slow = per_byte >= 4.0 * baseline
+    per_byte, valid = _per_byte(data)
     retries = trace.filter(ops=["retry"])
-    if slow.sum() < 3 and len(retries) == 0:
+    win = _run_window(
+        data.starts, data.ends, per_byte, valid, 4.0, trace.span or 1.0,
+        min_valid=16, extra=(retries.starts, retries.ends),
+    )
+    if win is None:
         return []
-    lo_candidates = []
-    hi_candidates = []
-    if slow.sum() >= 3:
-        lo_candidates.append(float(starts[slow].min()))
-        hi_candidates.append(float(ends[slow].max()))
-    if len(retries):
-        lo_candidates.append(float(retries.starts.min()))
-        hi_candidates.append(float(retries.ends.max()))
-    if not lo_candidates:
-        return []
-    w0, w1 = min(lo_candidates), max(hi_candidates)
-    span = trace.span or 1.0
-    if (w1 - w0) >= 0.8 * span:
-        return []  # systemic, not transient
-    # healthy on both sides of the window?
-    outside = per_byte[(ends < w0) | (starts > w1)]
-    if len(outside) < 8 or np.median(outside) > 2.0 * baseline:
-        return []
-    slowdown = float(np.median(per_byte[slow]) / baseline) if slow.any() else 4.0
-    sev = min(0.5 + 0.1 * np.log2(max(slowdown, 1.0)), 1.0)
+    n_slow = int(win.slow.sum())
     return [
         Finding(
             code="transient-fault",
-            severity=float(sev),
+            severity=_slowdown_severity(win.slowdown),
             message=(
-                f"{int(slow.sum())} events ran {slowdown:.0f}x slower than "
-                f"the rest of the run during [{w0:.1f}s, {w1:.1f}s]"
+                f"{n_slow} events ran {win.slowdown:.0f}x slower than "
+                f"the rest of the run during [{win.w0:.1f}s, {win.w1:.1f}s]"
                 + (f"; {len(retries)} ops re-drove RPCs inside the window"
                    if len(retries) else "")
             ),
@@ -509,173 +501,151 @@ def _check_transient_fault(trace: Trace, layout=None) -> List[Finding]:
             ),
             evidence={
                 "device": -1.0,
-                "t_start": w0,
-                "t_end": w1,
-                "slowdown": slowdown,
-                "n_events": float(slow.sum()),
+                "t_start": win.w0,
+                "t_end": win.w1,
+                "slowdown": win.slowdown,
+                "n_events": float(n_slow),
                 "n_retries": float(len(retries)),
             },
         )
     ]
 
 
-def _check_failover_mask(trace: Trace, layout=None) -> List[Finding]:
-    """A device went dark mid-run but client-side replica failover
-    absorbed the cost: the evidence is not slow events (there are none --
-    that is the point) but the ``failover`` meta-events the steering left
-    behind, each carrying the stall time it averted.
+@dataclass(frozen=True)
+class _Absorbed:
+    """How a finding reads for one kind of fault a resilience mechanism
+    absorbed: the meta-event the mechanism leaves, the finding code, the
+    per-device count the finder reports (also its evidence key), and the
+    message and recommendation with and without a located device."""
 
-    With a layout the verdict names the device the clients routed around
-    (:func:`~repro.ensembles.locate.find_masked_faults`); without one it
-    reports the failover window alone.  Severity stays moderate: the
-    fault was *masked*, so this is a repair ticket, not a post-mortem.
+    op: str
+    code: str
+    count: str
+    #: what happened, given ``{n}`` events and the ``{count}``
+    located: str
+    fix_located: str
+    #: what happened, given ``{n}`` events
+    unlocated: str
+    fix_unlocated: str
+
+
+_FAILOVER = _Absorbed(
+    op="failover",
+    code="failover-masked-fault",
+    count="n_failovers",
+    located="{n} ops failed over to replica copies",
+    fix_located=(
+        "replication hid this fault from run time, but the "
+        "skipped copies are stale and redundancy is reduced; "
+        "check the device and resync its mirrors before the "
+        "next fault lands on the surviving copy"
+    ),
+    unlocated="{n} ops failed over to replica copies",
+    fix_unlocated=(
+        "a device went dark but replication absorbed it; re-run "
+        "the analysis with the file's stripe layout to name the "
+        "device, then resync its mirrors"
+    ),
+)
+
+_EC_DEGRADED = _Absorbed(
+    op="degraded-read",
+    code="ec-degraded",
+    count="n_groups",
+    located=(
+        "{n} reads were rebuilt from parity "
+        "({count} stripe groups reconstructed)"
+    ),
+    fix_located=(
+        "erasure coding hid this fault from run time, but "
+        "every degraded read fans out across the group's "
+        "survivors and redundancy is reduced; replace the "
+        "device and rebuild its units before a second loss "
+        "exceeds the code's tolerance"
+    ),
+    unlocated="{n} reads were served degraded (rebuilt from parity)",
+    fix_unlocated=(
+        "a data device was lost but erasure coding absorbed it; "
+        "re-run the analysis with the file's layout to name the "
+        "device, then rebuild its units"
+    ),
+)
+
+
+def _check_absorbed(
+    trace: Trace, layout, finder, kind: _Absorbed
+) -> List[Finding]:
+    """A device went dark mid-run but a resilience mechanism absorbed the
+    cost: the evidence is not slow events (there are none -- that is the
+    point) but the meta-events the mechanism left behind, each carrying
+    the stall time it averted.
+
+    - ``failover-masked-fault``: client-side replica failover steered
+      around the device (``failover`` meta-events; the finder is
+      :func:`~repro.ensembles.locate.find_masked_faults`).  Fix before
+      the next fault lands on the surviving copy.
+    - ``ec-degraded``: erasure coding served the device's reads by
+      rebuilding them from the stripe groups' survivors
+      (``degraded-read`` meta-events;
+      :func:`~repro.ensembles.locate.find_rebuild_pressure`).  Unlike a
+      masked mirror fault the cost is ongoing: every degraded read loads
+      all ``k`` survivors of its group, a fan-out tax the pool pays until
+      the device is replaced.
+
+    With a layout the verdict names the device ``finder`` locates; without
+    one it reports the meta-events' window alone.  Severity stays
+    moderate: the run survived, so this is a repair ticket, not a
+    post-mortem.
     """
-    fos = trace.filter(ops=["failover"])
-    if len(fos) == 0:
+    meta = trace.filter(ops=[kind.op])
+    if len(meta) == 0:
         return []
     wall = trace.span or 1.0
-    if layout is not None:
-        from .locate import find_masked_faults
-
-        masked = find_masked_faults(trace, layout)
-        if not masked:
-            return []
-        top = masked[0]
-        sev = min(0.3 + 0.5 * (top.masked_time / wall), 0.8)
-        return [
-            Finding(
-                code="failover-masked-fault",
-                severity=float(sev),
-                message=(
-                    f"OST {top.ost} went unreachable during "
-                    f"[{top.t_start:.1f}s, {top.t_end:.1f}s] but "
-                    f"{top.n_events} ops failed over to replica copies, "
-                    f"averting up to {top.masked_time:.1f}s of stall per op"
-                ),
-                recommendation=(
-                    "replication hid this fault from run time, but the "
-                    "skipped copies are stale and redundancy is reduced; "
-                    "check the device and resync its mirrors before the "
-                    "next fault lands on the surviving copy"
-                ),
-                evidence={
-                    "device": float(top.ost),
-                    "t_start": top.t_start,
-                    "t_end": top.t_end,
-                    "masked_time": top.masked_time,
-                    "n_events": float(top.n_events),
-                    "n_failovers": float(top.n_failovers),
-                },
-            )
-        ]
-    # no layout: report the failover window from the meta-events alone
-    w0 = float(fos.starts.min())
-    w1 = float(fos.ends.max())
-    worst = float(fos.durations.max())
-    sev = min(0.3 + 0.5 * (worst / wall), 0.8)
-    return [
-        Finding(
-            code="failover-masked-fault",
-            severity=float(sev),
-            message=(
-                f"{len(fos)} ops failed over to replica copies during "
-                f"[{w0:.1f}s, {w1:.1f}s], averting up to {worst:.1f}s of "
-                f"stall per op"
-            ),
-            recommendation=(
-                "a device went dark but replication absorbed it; re-run "
-                "the analysis with the file's stripe layout to name the "
-                "device, then resync its mirrors"
-            ),
-            evidence={
-                "device": -1.0,
-                "t_start": w0,
-                "t_end": w1,
-                "masked_time": worst,
-                "n_events": float(len(fos)),
-            },
+    if layout is None:
+        w0 = float(meta.starts.min())
+        w1 = float(meta.ends.max())
+        averted = float(meta.durations.max())
+        message = (
+            f"{kind.unlocated.format(n=len(meta))} during "
+            f"[{w0:.1f}s, {w1:.1f}s]"
         )
-    ]
-
-
-def _check_ec_degraded(trace: Trace, layout=None) -> List[Finding]:
-    """A data device was lost mid-run but erasure coding kept serving its
-    reads degraded: the evidence is the ``degraded-read`` meta-events each
-    rebuild left behind, carrying the stall time it averted.
-
-    With a layout the verdict names the lost device
-    (:func:`~repro.ensembles.locate.find_rebuild_pressure`); without one
-    it reports the rebuild window alone.  Severity stays moderate -- the
-    run survived -- but unlike a masked mirror fault the cost is ongoing:
-    every degraded read loads all ``k`` survivors of its group, so the
-    pool is paying a fan-out tax until the device is replaced.
-    """
-    drs = trace.filter(ops=["degraded-read"])
-    if len(drs) == 0:
-        return []
-    wall = trace.span or 1.0
-    if layout is not None:
-        from .locate import find_rebuild_pressure
-
-        pressure = find_rebuild_pressure(trace, layout)
-        if not pressure:
+        recommendation = kind.fix_unlocated
+        evidence = {
+            "device": -1.0,
+            "t_start": w0,
+            "t_end": w1,
+            "masked_time": averted,
+            "n_events": float(len(meta)),
+        }
+    else:
+        located = finder(trace, layout)
+        if not located:
             return []
-        top = pressure[0]
-        sev = min(0.3 + 0.5 * (top.masked_time / wall), 0.8)
-        return [
-            Finding(
-                code="ec-degraded",
-                severity=float(sev),
-                message=(
-                    f"OST {top.ost} went unreachable during "
-                    f"[{top.t_start:.1f}s, {top.t_end:.1f}s] but "
-                    f"{top.n_events} reads were rebuilt from parity "
-                    f"({top.n_groups} stripe groups reconstructed), "
-                    f"averting up to {top.masked_time:.1f}s of stall per op"
-                ),
-                recommendation=(
-                    "erasure coding hid this fault from run time, but "
-                    "every degraded read fans out across the group's "
-                    "survivors and redundancy is reduced; replace the "
-                    "device and rebuild its units before a second loss "
-                    "exceeds the code's tolerance"
-                ),
-                evidence={
-                    "device": float(top.ost),
-                    "t_start": top.t_start,
-                    "t_end": top.t_end,
-                    "masked_time": top.masked_time,
-                    "n_events": float(top.n_events),
-                    "n_groups": float(top.n_groups),
-                },
-            )
-        ]
-    # no layout: report the rebuild window from the meta-events alone
-    w0 = float(drs.starts.min())
-    w1 = float(drs.ends.max())
-    worst = float(drs.durations.max())
-    sev = min(0.3 + 0.5 * (worst / wall), 0.8)
+        top = located[0]
+        count = getattr(top, kind.count)
+        averted = top.masked_time
+        message = (
+            f"OST {top.ost} went unreachable during "
+            f"[{top.t_start:.1f}s, {top.t_end:.1f}s] but "
+            + kind.located.format(n=top.n_events, count=count)
+        )
+        recommendation = kind.fix_located
+        evidence = {
+            "device": float(top.ost),
+            "t_start": top.t_start,
+            "t_end": top.t_end,
+            "masked_time": averted,
+            "n_events": float(top.n_events),
+            kind.count: float(count),
+        }
+    sev = min(0.3 + 0.5 * (averted / wall), 0.8)
     return [
         Finding(
-            code="ec-degraded",
+            code=kind.code,
             severity=float(sev),
-            message=(
-                f"{len(drs)} reads were served degraded (rebuilt from "
-                f"parity) during [{w0:.1f}s, {w1:.1f}s], averting up to "
-                f"{worst:.1f}s of stall per op"
-            ),
-            recommendation=(
-                "a data device was lost but erasure coding absorbed it; "
-                "re-run the analysis with the file's layout to name the "
-                "device, then rebuild its units"
-            ),
-            evidence={
-                "device": -1.0,
-                "t_start": w0,
-                "t_end": w1,
-                "masked_time": worst,
-                "n_events": float(len(drs)),
-            },
+            message=f"{message}, averting up to {averted:.1f}s of stall per op",
+            recommendation=recommendation,
+            evidence=evidence,
         )
     ]
 
@@ -717,37 +687,6 @@ def _check_lln(trace: Trace, nranks: int) -> List[Finding]:
 META_OPS = ("open", "close", "stat", "fsync")
 
 
-def _slow_window(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    values: np.ndarray,
-    span: float,
-    min_slowdown: float,
-):
-    """Find the victim's slow interval: the time window covered by events
-    whose ``values`` sit ``min_slowdown``x above the run's own median,
-    with a healthy baseline on both sides (same contract as the
-    transient-fault check).  Returns ``(w0, w1, slow_mask, baseline)`` or
-    ``None``."""
-    ok = values > 0
-    if ok.sum() < 12:
-        return None
-    baseline = float(np.median(values[ok]))
-    if baseline <= 0:
-        return None
-    slow = ok & (values >= min_slowdown * baseline)
-    if slow.sum() < 3:
-        return None
-    w0 = float(starts[slow].min())
-    w1 = float(ends[slow].max())
-    if span <= 0 or (w1 - w0) >= 0.8 * span:
-        return None  # systemic for this job, not an interval
-    outside = values[ok & ((ends < w0) | (starts > w1))]
-    if len(outside) < 8 or np.median(outside) > 2.0 * baseline:
-        return None
-    return w0, w1, slow, baseline
-
-
 def _co_residents(timeline, victim: int, w0: float, w1: float) -> List[int]:
     return [
         t
@@ -785,6 +724,7 @@ def find_interference(
     so :func:`~repro.ensembles.oracle.verify_interference` can grade the
     attribution against the server-side ledger.
     """
+    _check_params(min_slowdown=min_slowdown, min_share=min_share)
     findings: List[Finding] = []
     if len(getattr(timeline, "tenants", {})) < 2 or victim not in timeline.tenants:
         return findings
@@ -793,11 +733,13 @@ def find_interference(
 
     # -- metadata storm path ------------------------------------------------
     meta = victim_trace.filter(ops=list(META_OPS))
-    hit = _slow_window(
-        meta.starts, meta.ends, meta.durations, span, min_slowdown
+    win = _run_window(
+        meta.starts, meta.ends, meta.durations, meta.durations > 0,
+        min_slowdown, span, min_valid=12,
     )
-    if hit is not None:
-        w0, w1, slow, baseline = hit
+    if win is not None:
+        w0, w1, slowdown = win.w0, win.w1, win.slowdown
+        n_slow = int(win.slow.sum())
         residents = _co_residents(timeline, victim, w0, w1)
         ops_by = {t: timeline.tenant_mds_ops(t, w0, w1) for t in residents}
         total_co = sum(ops_by.values())
@@ -806,16 +748,12 @@ def find_interference(
             agg = max(ops_by, key=lambda t: ops_by[t])
             share = ops_by[agg] / total_co
             if share >= min_share and ops_by[agg] >= 8 and ops_by[agg] > own:
-                slowdown = float(
-                    np.median(meta.durations[slow]) / baseline
-                )
-                sev = min(0.5 + 0.1 * np.log2(max(slowdown, 1.0)), 1.0)
                 findings.append(
                     Finding(
                         code="cross-tenant-interference",
-                        severity=float(sev),
+                        severity=_slowdown_severity(slowdown),
                         message=(
-                            f"{int(slow.sum())} of "
+                            f"{n_slow} of "
                             f"{names.get(victim, victim)}'s namespace ops "
                             f"ran {slowdown:.0f}x slower during "
                             f"[{w0:.1f}s, {w1:.1f}s]: co-resident tenant "
@@ -836,7 +774,7 @@ def find_interference(
                             "t_end": w1,
                             "share": float(share),
                             "slowdown": slowdown,
-                            "n_events": float(slow.sum()),
+                            "n_events": float(n_slow),
                             "mds": 1.0,
                         },
                     )
@@ -844,13 +782,14 @@ def find_interference(
 
     # -- bandwidth hog path -------------------------------------------------
     data = victim_trace.data_ops()
-    sizes = data.sizes.astype(float)
-    ok = (sizes > 0) & (data.durations > 0)
-    per_byte = np.zeros(len(data))
-    per_byte[ok] = data.durations[ok] / sizes[ok]
-    hit = _slow_window(data.starts, data.ends, per_byte, span, min_slowdown)
-    if hit is not None:
-        w0, w1, slow, baseline = hit
+    per_byte, valid = _per_byte(data)
+    win = _run_window(
+        data.starts, data.ends, per_byte, valid, min_slowdown, span,
+        min_valid=12,
+    )
+    if win is not None:
+        w0, w1, slowdown = win.w0, win.w1, win.slowdown
+        n_slow = int(win.slow.sum())
         residents = _co_residents(timeline, victim, w0, w1)
         touched = [
             d
@@ -875,14 +814,12 @@ def find_interference(
                 and co_bytes[dev][agg] >= MiB
                 and co_bytes[dev][agg] > own
             ):
-                slowdown = float(np.median(per_byte[slow]) / baseline)
-                sev = min(0.5 + 0.1 * np.log2(max(slowdown, 1.0)), 1.0)
                 findings.append(
                     Finding(
                         code="cross-tenant-interference",
-                        severity=float(sev),
+                        severity=_slowdown_severity(slowdown),
                         message=(
-                            f"{int(slow.sum())} of "
+                            f"{n_slow} of "
                             f"{names.get(victim, victim)}'s transfers ran "
                             f"{slowdown:.0f}x slower per byte during "
                             f"[{w0:.1f}s, {w1:.1f}s]: co-resident tenant "
@@ -904,7 +841,7 @@ def find_interference(
                             "t_end": w1,
                             "share": float(share),
                             "slowdown": slowdown,
-                            "n_events": float(slow.sum()),
+                            "n_events": float(n_slow),
                             "mds": 0.0,
                         },
                     )

@@ -22,8 +22,9 @@ device, so the verdict can be checked against operator logs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +94,7 @@ def find_slow_osts(
     """Scan for OSTs whose ensemble is shifted ``threshold``x slower than
     the rest of the pool.  Returns every OST's verdict, suspects first.
     """
+    _check_params(threshold=threshold)
     ensembles = ost_ensembles(trace, layout, ops)
     if not ensembles:
         return []
@@ -161,92 +163,76 @@ def find_transient_faults(
       (median within ``threshold/2`` x pool median), so the fault really
       switched off.
     """
+    _check_params(
+        threshold=threshold, min_events=min_events,
+        max_span_fraction=max_span_fraction,
+    )
     sub = trace.filter(ops=list(ops))
     if len(sub) == 0:
         return []
-    offsets, sizes = sub.offsets, sub.sizes
-    starts, ends = sub.starts, sub.ends
-    durations = sub.durations
-    ok = (sizes > 0) & (durations > 0)
+    per_byte, ok = _per_byte(sub)
     if ok.sum() < max(2 * min_events, 8):
         return []
-    per_byte = np.where(ok, durations / np.maximum(sizes, 1), np.nan)
-    pool_median = float(np.nanmedian(per_byte))
+    pool_median = float(np.median(per_byte[ok]))
     if not (pool_median > 0):
         return []
     flagged = ok & (per_byte >= threshold * pool_median)
-
-    # extent length of each data op, keyed by (rank, offset), so retry
-    # meta-events (whose ``size`` is the resend count) can be attributed
-    # to every OST the stalled op's extent touches
-    extent_of: Dict[Tuple[int, int], int] = {}
-    for rank, off, size in zip(sub.ranks, offsets, sizes):
-        extent_of[(int(rank), int(off))] = int(size)
+    # retries are charged through the extents of this call's ops
     retries = trace.filter(ops=["retry"])
-    retry_by_ost: Dict[int, int] = {}
-    retry_spans: Dict[int, List[Tuple[float, float]]] = {}
-    for r_rank, r_off, r_count, r_t0, r_dur in zip(
-        retries.ranks, retries.offsets, retries.sizes,
-        retries.starts, retries.durations,
-    ):
-        length = extent_of.get((int(r_rank), int(r_off)), 1)
-        for ost in layout.bytes_per_ost(int(r_off), max(length, 1)):
-            retry_by_ost[ost] = retry_by_ost.get(ost, 0) + int(r_count)
-            retry_spans.setdefault(ost, []).append(
-                (float(r_t0), float(r_t0 + r_dur))
-            )
+    retry_idx = _meta_devices(retries, sub, layout)
+    if not flagged.any() and not retry_idx:
+        return []
 
+    # each valid event's device set, derived once: device -> event mask
+    valid = np.flatnonzero(ok)
+    devices: Dict[int, np.ndarray] = {}
+    for ost, pos in _touches(layout, zip(
+        sub.offsets[valid].tolist(), sub.sizes[valid].tolist()
+    )).items():
+        devices[ost] = np.zeros(len(sub), dtype=bool)
+        devices[ost][valid[pos]] = True
+    nowhere = np.zeros(len(sub), dtype=bool)
+
+    starts, ends = sub.starts, sub.ends
     span = float(trace.span) or 1.0
-    by_ost: Dict[int, List[int]] = {}
-    for i in np.nonzero(flagged)[0]:
-        for ost in layout.bytes_per_ost(int(offsets[i]), int(sizes[i])):
-            by_ost.setdefault(ost, []).append(int(i))
-
     out: List[TransientFault] = []
-    for ost in sorted(set(by_ost) | set(retry_spans)):
-        idx = by_ost.get(ost, [])
-        n_retries = retry_by_ost.get(ost, 0)
-        if len(idx) + n_retries < min_events:
+    suspects = {o for o, m in devices.items() if (m & flagged).any()}
+    for ost in sorted(suspects | set(retry_idx)):
+        dev = devices.get(ost, nowhere)
+        mine = retry_idx.get(ost, [])
+        n_retries = int(retries.sizes[mine].sum())
+        n_slow = int((flagged & dev).sum())
+        if n_slow + n_retries < min_events:
             continue
-        hull = [(float(starts[i]), float(ends[i])) for i in idx]
-        hull += retry_spans.get(ost, [])
-        w0 = min(lo for lo, _ in hull)
-        w1 = max(hi for _, hi in hull)
-        if (w1 - w0) >= max_span_fraction * span:
+        win = _slow_window(
+            starts, ends, per_byte, dev, threshold, span,
+            baseline=pool_median, min_slow=1,
+            extra=(retries.starts[mine], retries.ends[mine]),
+            span_fraction=max_span_fraction,
+        )
+        if win is None:
             continue  # sick the whole run: static, not transient
         # slow relative to *contemporaneous* events on other devices?
         # (a pool-wide slow mode slows every OST at once -- not a fault)
-        others: List[float] = []
-        for j in range(len(sub)):
-            if not ok[j] or ends[j] < w0 or starts[j] > w1:
-                continue
-            if ost not in layout.bytes_per_ost(int(offsets[j]), int(sizes[j])):
-                others.append(float(per_byte[j]))
-        if idx:
-            in_window = float(np.median(per_byte[np.asarray(idx)]))
-            if others and in_window < (threshold / 2.0) * np.median(others):
-                continue
-        # the device must look healthy outside the window
-        outside: List[float] = []
-        for j in range(len(sub)):
-            if not ok[j] or (starts[j] >= w0 and ends[j] <= w1):
-                continue
-            if ost in layout.bytes_per_ost(int(offsets[j]), int(sizes[j])):
-                outside.append(float(per_byte[j]))
-        if outside and np.median(outside) > (threshold / 2.0) * pool_median:
+        apart = (ends < win.w0) | (starts > win.w1)
+        others = per_byte[ok & ~apart & ~dev]
+        if n_slow and len(others) and np.median(per_byte[win.slow]) < (
+            threshold / 2.0
+        ) * np.median(others):
             continue
-        slowdown = (
-            float(np.median(per_byte[np.asarray(idx)])) / pool_median
-            if idx
-            else float(threshold)
-        )
+        # the device must look healthy outside the window
+        outside = per_byte[dev & ~((starts >= win.w0) & (ends <= win.w1))]
+        if len(outside) and np.median(outside) > (
+            threshold / 2.0
+        ) * pool_median:
+            continue
         out.append(
             TransientFault(
                 ost=ost,
-                t_start=w0,
-                t_end=w1,
-                slowdown=slowdown,
-                n_events=len(idx),
+                t_start=win.w0,
+                t_end=win.w1,
+                slowdown=win.slowdown,
+                n_events=n_slow,
                 n_retries=n_retries,
             )
         )
@@ -297,47 +283,11 @@ def find_masked_faults(
     per-device masked time is the *maximum* averted duration, not a sum
     (a sum would count one window once per bypassing op).
     """
-    fos = trace.filter(ops=["failover"])
-    if len(fos) == 0:
-        return []
-    sub = trace.data_ops()
-    extent_of: Dict[Tuple[int, int], int] = {}
-    for rank, off, size in zip(sub.ranks, sub.offsets, sub.sizes):
-        extent_of[(int(rank), int(off))] = int(size)
-
-    n_events: Dict[int, int] = {}
-    n_failovers: Dict[int, int] = {}
-    masked: Dict[int, float] = {}
-    spans: Dict[int, List[Tuple[float, float]]] = {}
-    for f_rank, f_off, f_count, f_t0, f_dur in zip(
-        fos.ranks, fos.offsets, fos.sizes, fos.starts, fos.durations
-    ):
-        length = extent_of.get((int(f_rank), int(f_off)), 1)
-        for ost in layout.bytes_per_ost(int(f_off), max(length, 1)):
-            n_events[ost] = n_events.get(ost, 0) + 1
-            n_failovers[ost] = n_failovers.get(ost, 0) + int(f_count)
-            masked[ost] = max(masked.get(ost, 0.0), float(f_dur))
-            spans.setdefault(ost, []).append(
-                (float(f_t0), float(f_t0 + f_dur))
-            )
-
-    out: List[MaskedFault] = []
-    for ost, count in n_events.items():
-        if count < min_events:
-            continue
-        hull = spans[ost]
-        out.append(
-            MaskedFault(
-                ost=ost,
-                n_events=count,
-                n_failovers=n_failovers[ost],
-                masked_time=masked[ost],
-                t_start=min(lo for lo, _ in hull),
-                t_end=max(hi for _, hi in hull),
-            )
-        )
-    out.sort(key=lambda f: (f.masked_time, f.n_events), reverse=True)
-    return out
+    _check_params(min_events=min_events)
+    return [
+        MaskedFault(*row)
+        for row in _averted(trace, "failover", layout, min_events)
+    ]
 
 
 @dataclass(frozen=True)
@@ -386,45 +336,184 @@ def find_rebuild_pressure(
     remaining stall window, so per-device masked time is the *maximum*
     averted duration, not a sum.
     """
+    _check_params(min_events=min_events)
     data_layout = getattr(layout, "data_layout", layout)
-    drs = trace.filter(ops=["degraded-read"])
-    if len(drs) == 0:
-        return []
-    sub = trace.data_ops()
-    extent_of: Dict[Tuple[int, int], int] = {}
-    for rank, off, size in zip(sub.ranks, sub.offsets, sub.sizes):
-        extent_of[(int(rank), int(off))] = int(size)
+    return [
+        RebuildPressure(*row)
+        for row in _averted(trace, "degraded-read", data_layout, min_events)
+    ]
 
-    n_events: Dict[int, int] = {}
-    n_groups: Dict[int, int] = {}
-    masked: Dict[int, float] = {}
-    spans: Dict[int, List[Tuple[float, float]]] = {}
-    for d_rank, d_off, d_count, d_t0, d_dur in zip(
-        drs.ranks, drs.offsets, drs.sizes, drs.starts, drs.durations
-    ):
-        length = extent_of.get((int(d_rank), int(d_off)), 1)
-        for ost in data_layout.bytes_per_ost(int(d_off), max(length, 1)):
-            n_events[ost] = n_events.get(ost, 0) + 1
-            n_groups[ost] = n_groups.get(ost, 0) + int(d_count)
-            masked[ost] = max(masked.get(ost, 0.0), float(d_dur))
-            spans.setdefault(ost, []).append(
-                (float(d_t0), float(d_t0 + d_dur))
-            )
 
-    out: List[RebuildPressure] = []
-    for ost, count in n_events.items():
-        if count < min_events:
-            continue
-        hull = spans[ost]
-        out.append(
-            RebuildPressure(
-                ost=ost,
-                n_events=count,
-                n_groups=n_groups[ost],
-                masked_time=masked[ost],
-                t_start=min(lo for lo, _ in hull),
-                t_end=max(hi for _, hi in hull),
-            )
-        )
-    out.sort(key=lambda f: (f.masked_time, f.n_events), reverse=True)
+# -- the shared statistics of the fault detectors ------------------------------
+#
+# Every detector here and in :mod:`repro.ensembles.diagnose` is the paper's
+# test -- judge each event against its ensemble -- run along the time axis:
+# a median baseline, the events running k x beyond it, and the window they
+# span.  The helpers below are its one implementation.
+
+
+def _check_params(**params: float) -> None:
+    """Reject a detector knob outside its domain, naming the parameter:
+    slowdown multipliers are finite and > 1, event floors >= 1, and
+    fractions lie in (0, 1]."""
+    for name, value in params.items():
+        if name in ("threshold", "min_slowdown"):
+            ok, domain = math.isfinite(value) and value > 1, "finite and > 1"
+        elif name == "min_events":
+            ok, domain = value >= 1, ">= 1"
+        else:  # max_span_fraction, min_share
+            ok, domain = 0 < value <= 1, "in (0, 1]"
+        if not ok:
+            raise ValueError(f"{name} must be {domain}, got {value!r}")
+
+
+def _per_byte(sub: Trace) -> Tuple[np.ndarray, np.ndarray]:
+    """Each event's per-byte service time (0 where undefined) and the mask
+    of events where it is defined: positive size and duration."""
+    sizes, durations = sub.sizes, sub.durations
+    valid = (sizes > 0) & (durations > 0)
+    values = np.zeros(len(sub))
+    values[valid] = durations[valid] / sizes[valid]
+    return values, valid
+
+
+class _Window(NamedTuple):
+    w0: float
+    w1: float
+    #: the events running k x over the baseline
+    slow: np.ndarray
+    baseline: float
+    #: median slow value over the baseline (k when no event is slow)
+    slowdown: float
+
+
+def _slow_window(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    values: np.ndarray,
+    valid: np.ndarray,
+    k: float,
+    span: float,
+    *,
+    baseline: Optional[float] = None,
+    min_slow: int = 3,
+    extra: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    span_fraction: float = 0.8,
+) -> Optional[_Window]:
+    """The slow window of an ensemble, or ``None``.
+
+    Events of ``valid`` whose value runs ``k`` x over ``baseline`` (the
+    median valid value unless given) are *slow*; the window is the hull of
+    the slow events -- when at least ``min_slow >= 1`` of them -- and of the
+    ``extra`` (starts, ends) spans.  A window covering ``span_fraction``
+    of ``span`` or more is systemic, not a window, and is rejected.
+    """
+    if baseline is None:
+        baseline = float(np.median(values[valid]))
+        if baseline <= 0:
+            return None
+    slow = valid & (values >= k * baseline)
+    n_slow = int(slow.sum())
+    los, his = [], []
+    if n_slow >= min_slow:
+        los.append(starts[slow].min())
+        his.append(ends[slow].max())
+    if extra is not None and len(extra[0]):
+        los.append(extra[0].min())
+        his.append(extra[1].max())
+    if not los:
+        return None
+    w0, w1 = float(min(los)), float(max(his))
+    if span <= 0 or (w1 - w0) >= span_fraction * span:
+        return None
+    slowdown = (
+        float(np.median(values[slow]) / baseline) if n_slow else float(k)
+    )
+    return _Window(w0, w1, slow, baseline, slowdown)
+
+
+def _run_window(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    values: np.ndarray,
+    valid: np.ndarray,
+    k: float,
+    span: float,
+    min_valid: int,
+    extra: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Optional[_Window]:
+    """The whole-run slow window: at least ``min_valid`` valid events, a
+    :func:`_slow_window` against their own median, and a healthy run on
+    both sides -- at least 8 events wholly outside the window, with a
+    median within 2 x the baseline."""
+    if valid.sum() < min_valid:
+        return None
+    win = _slow_window(starts, ends, values, valid, k, span, extra=extra)
+    if win is None:
+        return None
+    outside = values[valid & ((ends < win.w0) | (starts > win.w1))]
+    if len(outside) < 8 or np.median(outside) > 2.0 * win.baseline:
+        return None
+    return win
+
+
+def _touches(
+    layout: StripeLayout, extents: Iterable[Tuple[int, int]]
+) -> Dict[int, List[int]]:
+    """Device -> positions of the (offset, length) extents touching it,
+    devices in the order they are first touched."""
+    out: Dict[int, List[int]] = {}
+    for i, (offset, length) in enumerate(extents):
+        for ost in layout.bytes_per_ost(offset, length):
+            out.setdefault(ost, []).append(i)
     return out
+
+
+def _meta_devices(
+    meta: Trace, data: Trace, layout: StripeLayout
+) -> Dict[int, List[int]]:
+    """Charge each meta-event to the devices its op's extent touches.
+
+    A meta-event shares (rank, offset) with the data op it annotates; its
+    ``size`` is a count, so the extent length comes from ``data`` -- the
+    last op at that (rank, offset), else one byte.  Returns device ->
+    meta-event positions, devices in first-touch order.
+    """
+    extent_of = {
+        (rank, offset): size
+        for rank, offset, size in zip(
+            data.ranks.tolist(), data.offsets.tolist(), data.sizes.tolist()
+        )
+    }
+    return _touches(layout, (
+        (offset, max(extent_of.get((rank, offset), 1), 1))
+        for rank, offset in zip(meta.ranks.tolist(), meta.offsets.tolist())
+    ))
+
+
+def _averted(
+    trace: Trace, op: str, layout: StripeLayout, min_events: int
+) -> List[Tuple[int, int, int, float, float, float]]:
+    """Per device, the ``op`` meta-events a resilience mechanism left:
+    ``(ost, n_events, summed size, largest duration, first start, last
+    end)`` for devices charged at least ``min_events`` times, worst
+    averted stall first (ties keep first-touch order)."""
+    meta = trace.filter(ops=[op])
+    if len(meta) == 0:
+        return []
+    sizes, durations = meta.sizes, meta.durations
+    starts, ends = meta.starts, meta.ends
+    rows = []
+    for ost, idx in _meta_devices(meta, trace.data_ops(), layout).items():
+        if len(idx) < min_events:
+            continue
+        rows.append((
+            ost,
+            len(idx),
+            int(sizes[idx].sum()),
+            max(0.0, float(durations[idx].max())),
+            float(starts[idx].min()),
+            float(ends[idx].max()),
+        ))
+    rows.sort(key=lambda r: (r[3], r[1]), reverse=True)
+    return rows

@@ -46,6 +46,7 @@ from ..ensembles.locate import find_rebuild_pressure
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.posix import O_CREAT, O_RDWR
+from .fig_failover import _locate, _read_totals, _stall_window
 from .runner import ExperimentResult, format_table
 
 __all__ = ["run", "main"]
@@ -124,38 +125,11 @@ def _run(scheme: str, ntasks, nrec, seed, faults=None):
     return job.run(_worker, nrec, "/scratch/ec")
 
 
-def _read_totals(res) -> np.ndarray:
-    return res.trace.filter(ops=["pread"]).per_rank_totals(res.ntasks)
-
-
-def _stall_window(res):
-    """Place the stall inside this run's read phase: it starts once the
-    reads are under way and covers ~40% of the healthy read span."""
-    reads = res.trace.filter(ops=["pread"])
-    t0 = float(reads.starts.min())
-    span = float(reads.ends.max()) - t0
-    return t0 + 0.15 * span, t0 + 0.55 * span
-
-
 def _redundant_ratio(res, payload: int) -> float:
     """Redundant bytes written (parity or extra copies) per payload byte."""
     pool = res.iosys.osts
     written = float(pool.bytes_written.sum())
     return (written - payload) / payload if payload else 0.0
-
-
-def _locate_rebuilds(res) -> Dict[int, int]:
-    """Per-file rebuild-pressure attribution, merged over the namespace.
-
-    Files stripe from different start OSTs, so each file's degraded-read
-    meta-events must be read through *its own* data placement; the merge
-    counts degraded reads per device across every file."""
-    events: Dict[int, int] = {}
-    for path, f in sorted(res.iosys._files.items()):
-        sub = res.trace.filter(path=path)
-        for r in find_rebuild_pressure(sub, f.erasure or f.layout):
-            events[r.ost] = events.get(r.ost, 0) + r.n_events
-    return events
 
 
 def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
@@ -206,7 +180,7 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
 
     # name the lost device from the light ec4+1 trace alone
     light_ec = faulted[("light", "ec4+1")]
-    located = _locate_rebuilds(light_ec)
+    located = _locate(light_ec, find_rebuild_pressure)
     located_ost = max(located, key=located.get) if located else -1
     sick_paths = [
         p

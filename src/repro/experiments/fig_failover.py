@@ -112,16 +112,19 @@ def _stall_window(res):
     return t0 + 0.15 * span, t0 + 0.55 * span
 
 
-def _locate_sick(res) -> Dict[int, int]:
-    """Per-file masked-fault attribution, merged over the namespace.
+def _locate(res, finder) -> Dict[int, int]:
+    """Per-file attribution by ``finder`` (:func:`find_masked_faults` or
+    :func:`~repro.ensembles.locate.find_rebuild_pressure`), merged over
+    the namespace.
 
-    Files are striped from different start OSTs, so each file's failover
-    meta-events must be read through *its own* primary layout; the merge
-    counts steering events per device across every file."""
+    Files are striped from different start OSTs, so each file's
+    meta-events must be read through *its own* placement (the erasure
+    code when the file has one, else its primary layout); the merge
+    counts events per device across every file."""
     events: Dict[int, int] = {}
     for path, f in sorted(res.iosys._files.items()):
         sub = res.trace.filter(path=path)
-        for m in find_masked_faults(sub, f.layout):
+        for m in finder(sub, f.erasure or f.layout):
             events[m.ost] = events.get(m.ost, 0) + m.n_events
     return events
 
@@ -186,7 +189,7 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
 
     # name the sick device from the k=2 light trace alone
     light2 = faulted[("light", 2)]
-    located = _locate_sick(light2)
+    located = _locate(light2, find_masked_faults)
     located_ost = max(located, key=located.get) if located else -1
     sick_paths = [
         p

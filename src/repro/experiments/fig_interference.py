@@ -33,7 +33,6 @@ totals, so attribution never invents or loses traffic.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from typing import Dict, List
 
@@ -92,17 +91,6 @@ def _solo_checkpoint(ctx, nfiles: int):
     return nfiles * rec
 
 
-def _digest(trace) -> str:
-    lines = [
-        f"{int(r)}|{op}|{p}|{int(o)}|{int(s)}|{float(t).hex()}|{float(d).hex()}"
-        for r, op, p, o, s, t, d in zip(
-            trace.ranks, trace.ops, trace.paths, trace.offsets,
-            trace.sizes, trace.starts, trace.durations,
-        )
-    ]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def _conserved(res) -> bool:
     """Tenant-attributed counters must sum to the untagged per-OST and
     MDS totals on every bucket -- attribution is a partition, not an
@@ -121,6 +109,9 @@ def _conserved(res) -> bool:
 
 
 def run(scale: str = "paper", seed: int = 11) -> ExperimentResult:
+    # lazy: the runner package must stay importable without the store
+    from ..store.capture import trace_digest
+
     nfiles = _params(scale)
     machine = _machine()
 
@@ -160,7 +151,7 @@ def run(scale: str = "paper", seed: int = 11) -> ExperimentResult:
     solo = SimJob(machine, _VICTIM_TASKS, seed=seed).run(
         _solo_checkpoint, nfiles
     )
-    solo_identical = _digest(res_alone.trace) == _digest(solo.trace)
+    solo_identical = trace_digest(res_alone.trace) == trace_digest(solo.trace)
     rows.append(
         {
             "scenario": "alone",

@@ -41,7 +41,6 @@ CONTRADICTED actions.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List
 
 from ..apps.harness import SimJob
@@ -103,17 +102,6 @@ def _shared_writer(ctx, nrec, path):
     return None
 
 
-def _digest(trace) -> str:
-    lines = [
-        f"{int(r)}|{op}|{p}|{int(o)}|{int(s)}|{float(t).hex()}|{float(d).hex()}"
-        for r, op, p, o, s, t, d in zip(
-            trace.ranks, trace.ops, trace.paths, trace.offsets,
-            trace.sizes, trace.starts, trace.durations,
-        )
-    ]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def _run_arm(machine, nrec, heal, seed):
     job = SimJob(machine, 16, seed=seed, heal=heal)
     return job.run(_shared_writer, nrec, "/scratch/selfheal.dat")
@@ -132,6 +120,9 @@ def _slowest_rank(res) -> float:
 
 
 def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
+    # lazy: the runner package must stay importable without the store
+    from ..store.capture import trace_digest
+
     nrec = _params(scale)
     rows: List[Dict[str, object]] = []
     reports = {}
@@ -165,7 +156,7 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
     off_h = _run_arm(_machine(), nrec, False, seed)
     on_h = _run_arm(_machine(), nrec, True, seed)
     nofault_identical = (
-        _digest(off_h.trace) == _digest(on_h.trace)
+        trace_digest(off_h.trace) == trace_digest(on_h.trace)
         and off_h.elapsed == on_h.elapsed  # reprolint: disable=D004 (no-fault negative control; exact identity is the contract)
     )
     nofault_silent = on_h.meta.get("heal_quarantines", 0) == 0 and not (

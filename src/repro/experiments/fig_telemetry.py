@@ -35,7 +35,6 @@ accounting on every run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from typing import Dict, List
 
@@ -121,17 +120,6 @@ def _fpt_worker(ctx, nrec: int, base: str):
     return None
 
 
-def _digest(trace) -> str:
-    lines = [
-        f"{int(r)}|{op}|{p}|{int(o)}|{int(s)}|{float(t).hex()}|{float(d).hex()}"
-        for r, op, p, o, s, t, d in zip(
-            trace.ranks, trace.ops, trace.paths, trace.offsets,
-            trace.sizes, trace.starts, trace.durations,
-        )
-    ]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def _conserved(res) -> bool:
     """Telemetry per-OST sums must equal the pool's own accounting."""
     tl = res.telemetry
@@ -167,6 +155,9 @@ def _read_stall(res) -> FaultSchedule:
 
 
 def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
+    # lazy: the runner package must stay importable without the store
+    from ..store.capture import trace_digest
+
     ntasks, nrec = _params(scale)
 
     rows: List[Dict[str, object]] = []
@@ -302,7 +293,7 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
         seed=seed,
     )
     res_off = job.run(_shared_writer, nrec, "/scratch/tel.dat")
-    invariant = _digest(res_off.trace) == _digest(res_stall.trace)
+    invariant = trace_digest(res_off.trace) == trace_digest(res_stall.trace)
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
     out.summary = {

@@ -353,6 +353,30 @@ def test_diagnose_reports_ec_degraded():
     assert findings[0].severity > 0
 
 
+def test_diagnose_without_layout_reports_the_rebuild_window():
+    """No layout: the finding reports the degraded-read meta-events alone
+    -- a window closing at the stall's end, the reads rebuilt, and the
+    largest remaining stall one rebuild averted."""
+    res = _run()
+    drs = res.trace.filter(ops=["degraded-read"])
+    (finding,) = [
+        f for f in diagnose(res.trace, nranks=4) if f.code == "ec-degraded"
+    ]
+    ev = finding.evidence
+    assert set(ev) == {"device", "t_start", "t_end", "masked_time", "n_events"}
+    assert ev["device"] == -1.0
+    assert 0.10 <= ev["t_start"] < ev["t_end"] == 0.60
+    assert ev["n_events"] == float(len(drs)) == 9.0
+    # the first rebuild waited out nothing: it averted the rest of the stall
+    assert ev["masked_time"] == pytest.approx(ev["t_end"] - ev["t_start"])
+    assert finding.severity == pytest.approx(
+        0.3 + 0.5 * ev["masked_time"] / res.trace.span
+    )
+    assert finding.message.startswith(
+        "9 reads were served degraded (rebuilt from parity)"
+    )
+
+
 def test_diagnose_quiet_on_healthy_code():
     res = _run(window=None)
     findings = [

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.apps.madbench import MadbenchConfig, run_madbench
-from repro.ensembles.locate import find_slow_osts, ost_ensembles
+from repro.ensembles.diagnose import find_interference
+from repro.ensembles.locate import (
+    find_masked_faults,
+    find_rebuild_pressure,
+    find_slow_osts,
+    find_transient_faults,
+    ost_ensembles,
+)
 from repro.ipm.events import Trace, TraceEvent
 from repro.ipm.patterns import PatternDetector, detect_patterns
 from repro.iosys.machine import MachineConfig, MiB
@@ -230,3 +237,54 @@ class TestSlowOstLocalisation:
         layout = iosys.lookup("/f").layout
         suspects = find_slow_osts(collector.trace, layout, threshold=2.0)
         assert suspects[0].ost == 2 and suspects[0].is_suspect
+
+
+# -- detector parameter bounds ---------------------------------------------------
+
+_LAYOUT = StripeLayout(stripe_size=MiB, stripe_count=2, n_osts=4)
+
+
+def _detector(name):
+    """The named detector over an empty trace, taking only its knobs."""
+    return {
+        "find_slow_osts": lambda **kw: find_slow_osts(Trace(), _LAYOUT, **kw),
+        "find_transient_faults":
+            lambda **kw: find_transient_faults(Trace(), _LAYOUT, **kw),
+        "find_masked_faults":
+            lambda **kw: find_masked_faults(Trace(), _LAYOUT, **kw),
+        "find_rebuild_pressure":
+            lambda **kw: find_rebuild_pressure(Trace(), _LAYOUT, **kw),
+        "find_interference":
+            lambda **kw: find_interference(Trace(), None, 0, **kw),
+    }[name]
+
+
+@pytest.mark.parametrize("detector, param, bad", [
+    (det, param, bad)
+    for det, param, bads in [
+        ("find_slow_osts", "threshold", [1.0, 0.5, float("inf"), float("nan")]),
+        ("find_transient_faults", "threshold", [1.0, -4.0, float("inf")]),
+        ("find_transient_faults", "min_events", [0, -1]),
+        ("find_transient_faults", "max_span_fraction", [0.0, 1.5, float("nan")]),
+        ("find_masked_faults", "min_events", [0]),
+        ("find_rebuild_pressure", "min_events", [0]),
+        ("find_interference", "min_slowdown", [1.0, float("inf"), float("nan")]),
+        ("find_interference", "min_share", [0.0, 1.01, -0.5]),
+    ]
+    for bad in bads
+])
+def test_detectors_reject_bad_parameters(detector, param, bad):
+    """Out-of-domain knobs fail at entry, naming the parameter -- even on
+    an empty trace, where the detector would otherwise return nothing."""
+    with pytest.raises(ValueError, match=param):
+        _detector(detector)(**{param: bad})
+
+
+@pytest.mark.parametrize("detector, param, edge", [
+    ("find_transient_faults", "max_span_fraction", 1.0),
+    ("find_transient_faults", "min_events", 1),
+    ("find_interference", "min_share", 1.0),
+    ("find_slow_osts", "threshold", 1.01),
+])
+def test_detectors_accept_domain_edges(detector, param, edge):
+    assert _detector(detector)(**{param: edge}) == []

@@ -261,8 +261,38 @@ def test_masked_fault_with_every_ost_holding_a_copy():
     # attribution through the union footprint spreads over the pool;
     # the sick device must at least be among the accused
     assert 1 in votes
-    findings = diagnose(res.trace, nranks=2)
-    assert isinstance(findings, list)  # window-only diagnosis, no crash
+    # window-only diagnosis: no device, but the whole stall is accounted
+    (finding,) = [
+        f for f in diagnose(res.trace, nranks=2)
+        if f.code == "failover-masked-fault"
+    ]
+    assert finding.evidence == {
+        "device": -1.0, "t_start": 0.0, "t_end": 8.0, "masked_time": 8.0,
+        "n_events": float(len(res.trace.filter(ops=["failover"]))),
+    }
+
+
+def test_diagnose_without_layout_reports_the_failover_window():
+    """No layout: the finding cannot name the device, so it reports the
+    failover meta-events alone -- their window (the stall, 0-8 s), how
+    many ops steered, and the largest stall one steer averted."""
+    res = _run(2, failover=True, device=1)
+    fos = res.trace.filter(ops=["failover"])
+    (finding,) = [
+        f for f in diagnose(res.trace, nranks=2)
+        if f.code == "failover-masked-fault"
+    ]
+    assert finding.evidence == {
+        "device": -1.0,
+        "t_start": 0.0,
+        "t_end": 8.0,
+        "masked_time": 8.0,
+        "n_events": float(len(fos)),
+    }
+    assert len(fos) == 8
+    # the averted stall covers the whole run: severity sits at its cap
+    assert finding.severity == 0.8
+    assert finding.message.startswith("8 ops failed over to replica copies")
 
 
 def test_stall_window_after_last_io_yields_no_finding():
