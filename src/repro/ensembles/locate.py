@@ -66,22 +66,20 @@ def ost_ensembles(
     transfer sizes share an axis, then attributed to every OST their
     extent touches (an event that straddles a sick OST is slowed even if
     most of its bytes went elsewhere -- exactly why attribution must be
-    to all touched OSTs, not the majority one).
+    to all touched OSTs, not the majority one).  Only events with a
+    positive size and duration count (a NaN duration does not), and a
+    device needs three of them to get an ensemble.
     """
     sub = trace.filter(ops=list(ops))
-    buckets: Dict[int, List[float]] = {}
-    for offset, size, duration in zip(
-        sub.offsets, sub.sizes, sub.durations
-    ):
-        if size <= 0 or duration <= 0:
-            continue
-        per_byte = duration / size
-        for ost in layout.bytes_per_ost(int(offset), int(size)):
-            buckets.setdefault(ost, []).append(per_byte)
+    values, valid = _per_byte(sub)
+    values = values[valid]
+    touches = _touches(layout, zip(
+        sub.offsets[valid].tolist(), sub.sizes[valid].tolist()
+    ))
     return {
-        ost: EmpiricalDistribution(vals)
-        for ost, vals in buckets.items()
-        if len(vals) >= 3
+        ost: EmpiricalDistribution(values[positions])
+        for ost, positions in touches.items()
+        if len(positions) >= 3
     }
 
 

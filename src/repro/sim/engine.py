@@ -271,13 +271,19 @@ class Timeout(Event):
             if at > now:
                 # calendar bucket: all entries of one exact instant share
                 # a FIFO deque, so the heap holds only distinct times
-                buckets = engine._buckets
-                bucket = buckets.get(at)
-                if bucket is None:
-                    heapq.heappush(engine._times, at)
-                    buckets[at] = deque((self,))
+                # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
+                if at == engine._last_at:
+                    engine._last_bucket.append(self)
                 else:
-                    bucket.append(self)
+                    buckets = engine._buckets
+                    bucket = buckets.get(at)
+                    if bucket is None:
+                        heapq.heappush(engine._times, at)
+                        buckets[at] = bucket = deque((self,))
+                    else:
+                        bucket.append(self)
+                    engine._last_at = at
+                    engine._last_bucket = bucket
             else:
                 # same-instant: FIFO tail keeps reference (time, seq)
                 # order without touching the heap (see module docstring)
@@ -295,8 +301,11 @@ class _Completion(Event):
     invisible to user code -- nobody holds them, waits on them, or reads
     their value -- so the fast path recycles the objects through
     ``Engine._comp_pool`` instead of allocating a Timeout plus a closure
-    per completion.  Only :meth:`Engine._complete_later` creates these;
-    they must never escape to user code (a recycled event would alias).
+    per completion.  They are the only pooled objects: the engine owns
+    them from creation to recycle, so reuse never depends on who else
+    might hold a reference.  Only :meth:`Engine._complete_later` creates
+    these; they must never escape to user code (a recycled event would
+    alias).
 
     ``_callbacks`` is permanently :data:`_POOLED`: nothing may wait on a
     completion, and the sentinel lets the dispatch loop recognise one
@@ -321,7 +330,7 @@ class Process(Event):
     """A running generator.  Also an event: triggers when the generator
     returns (value = the generator's return value) or raises (fail)."""
 
-    __slots__ = ("_gen", "_send", "name", "_waiting_on", "_resume_cb")
+    __slots__ = ("_gen", "_send", "name", "_waiting_on")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "") -> None:
         super().__init__(engine)
@@ -331,14 +340,9 @@ class Process(Event):
         self._send = gen.send
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        #: what this process registers as a waiter: the process object
-        #: itself (callable via ``__call__ = _resume``), so the dispatch
-        #: loop can recognise a plain process wake-up with one exact
-        #: type check and run the generator step without a call frame
-        self._resume_cb: Callable[[Event], None] = self
         # Bootstrap: start the generator at time `now`.
         boot = Event(engine)
-        boot.add_callback(self._resume_cb)
+        boot.add_callback(self)
         boot.succeed(None)
 
     @property
@@ -361,7 +365,7 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and not target._triggered:
             # Detach from whatever it was waiting for.
-            target._remove_callback(self._resume_cb)
+            target._remove_callback(self)
         kick = Event(self.engine)
         kick.add_callback(lambda ev: self._throw(Interrupt(cause)))
         kick.succeed(None)
@@ -400,19 +404,22 @@ class Process(Event):
                 f"process {self.name!r} yielded non-event {target!r}"
             )
         self._waiting_on = target
-        # inlined target.add_callback(self._resume_cb): every suspension
+        # inlined target.add_callback(self): every suspension
         # re-registers the process, so the extra frame adds up
         callbacks = target._callbacks
         if callbacks is None:
-            target._callbacks = self._resume_cb
+            target._callbacks = self
         elif callbacks is _CONSUMED:
-            self._resume_cb(target)
+            self._resume(target)
         elif type(callbacks) is list:
-            callbacks.append(self._resume_cb)
+            callbacks.append(self)
         else:
-            target._callbacks = [callbacks, self._resume_cb]
+            target._callbacks = [callbacks, self]
 
-    #: a process IS its own resume callback (see ``_resume_cb``)
+    #: a process registers *itself* as the waiter (callable through
+    #: ``__call__``), so the dispatch loop can recognise a plain process
+    #: wake-up with one exact type check and run the generator step
+    #: without a call frame
     __call__ = _resume
 
     def _throw(self, exc: BaseException) -> None:
@@ -443,7 +450,7 @@ class Process(Event):
                 f"process {self.name!r} yielded non-event {target!r}"
             )
         self._waiting_on = target
-        target.add_callback(self._resume_cb)
+        target.add_callback(self)
 
 
 class AllOf(Event):
@@ -530,7 +537,7 @@ class Engine:
 
     __slots__ = (
         "now", "_heap", "_seq", "_tail", "_times", "_buckets",
-        "_comp_pool", "_ev_pool", "_tmo_pool", "_fast",
+        "_comp_pool", "_fast",
         "_last_at", "_last_bucket",
         "_active_process", "_crash_on_unhandled", "_event_count",
         "sanitize", "races", "_san_window_t", "_san_window",
@@ -551,13 +558,10 @@ class Engine:
         #: timestamps, so heap traffic scales with instants, not events
         self._times: List[float] = []
         self._buckets: Dict[float, Deque[Event]] = {}
-        #: recycled event objects (fast path only): resource
-        #: completions, plain events, and timeouts whose refcount proves
-        #: no one else holds them at dispatch
+        #: recycled resource completions (fast path only); the only
+        #: pooled objects -- user-visible events are never reused
         self._comp_pool: List[_Completion] = []
-        self._ev_pool: List[Event] = []
-        self._tmo_pool: List[Timeout] = []
-        #: :meth:`timeout` bucket cache -- lock-step process groups
+        #: calendar bucket cache -- lock-step process groups
         #: schedule runs of timeouts at the same instant, so remember the
         #: last bucket and skip the dict probe.  Time moves forward on
         #: the fast path, so a future instant can never collide with a
@@ -645,55 +649,9 @@ class Engine:
 
     # -- factory helpers ----------------------------------------------------
     def event(self) -> Event:
-        pool = self._ev_pool
-        if pool:
-            # recycled (fast path only; the pool stays empty otherwise):
-            # reset every slot a previous life could have touched
-            ev = pool.pop()
-            ev._value = None
-            ev._exc = None
-            ev._triggered = False
-            ev._callbacks = None
-            ev._san = None
-            return ev
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._tmo_pool
-        if pool:
-            # recycled (fast path only): _san/_value were cleared at
-            # recycle time, _exc is always None for a timeout
-            tmo = pool.pop()
-            tmo._value = value
-            # _triggered is still True from the previous cycle: timeouts
-            # are born triggered and nothing ever clears the flag
-            tmo._callbacks = None
-            tmo.delay = delay = float(delay)
-            now = self.now
-            at = now + delay
-            if at > now:
-                # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                if at == self._last_at:
-                    self._last_bucket.append(tmo)
-                else:
-                    buckets = self._buckets
-                    bucket = buckets.get(at)
-                    if bucket is None:
-                        heapq.heappush(self._times, at)
-                        buckets[at] = bucket = deque((tmo,))
-                    else:
-                        bucket.append(tmo)
-                    self._last_at = at
-                    self._last_bucket = bucket
-            elif delay < 0:
-                # checked off the hot path: a negative delay can only land
-                # here (at < now); hand the object back unscheduled
-                tmo._value = None
-                pool.append(tmo)
-                raise SimulationError(f"negative timeout: {delay!r}")
-            else:
-                self._tail.append(tmo)
-            return tmo
         return Timeout(self, delay, value)
 
     def timeout_until(self, at: float, value: Any = None) -> Timeout:
@@ -731,6 +689,8 @@ class Engine:
         callback list); on the reference path it is a plain Timeout with
         a callback, dispatch-order identical.  Callers must treat the
         returned event as opaque -- it may be recycled after firing.
+        This and :class:`Timeout` are the only writers of the calendar
+        buckets; the resource layer schedules through here.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay!r}")
@@ -812,16 +772,15 @@ class Engine:
 
         Order-identical to :meth:`_run_reference` -- see the module
         docstring for the invariant and the differential harness for the
-        proof on every committed golden.
+        proof on every committed golden.  Only :class:`_Completion`
+        objects are recycled here; every other event is left to the
+        allocator once dispatched, whoever may still hold it.
         """
         times = self._times
         buckets = self._buckets
         tail = self._tail
         comp_pool = self._comp_pool
-        ev_pool = self._ev_pool
-        tmo_pool = self._tmo_pool
         pop_time = heapq.heappop
-        getrc = sys.getrefcount
         sanitize = self.sanitize
         now = self.now
         count = self._event_count
@@ -856,13 +815,6 @@ class Engine:
                     cur = buckets.pop(at)
                     self.now = now = at
                     event = cur.popleft()
-                    # enforce the pool bound here, off the per-event path
-                    # (recycles between instant advances are bounded by
-                    # the instant's live events, so overshoot is modest)
-                    if len(tmo_pool) > POOL_LIMIT:
-                        del tmo_pool[POOL_LIMIT:]
-                    if len(ev_pool) > POOL_LIMIT:
-                        del ev_pool[POOL_LIMIT:]
                 else:
                     return now
                 count += 1
@@ -887,7 +839,7 @@ class Engine:
                     # fused wake-up: a single waiting process is the
                     # dominant dispatch shape, so run Process._resume's
                     # send fast path without a call frame (a process
-                    # attaches itself as the waiter -- see _resume_cb)
+                    # attaches itself as the waiter -- see __call__)
                     proc = callbacks
                     if not proc._triggered:
                         if event._exc is not None:
@@ -899,14 +851,9 @@ class Engine:
                                 target = proc._send(event._value)
                             except StopIteration as stop:
                                 self._active_process = base_active
-                                # clear before recycling `event`: a stale
-                                # _waiting_on ref would veto the refcount
-                                # guard below
-                                proc._waiting_on = None
                                 proc.succeed(stop.value)
                             except BaseException as exc:  # noqa: BLE001
                                 self._active_process = base_active
-                                proc._waiting_on = None
                                 if proc._callbacks or \
                                         self._crash_on_unhandled is False:
                                     proc.fail(exc)
@@ -929,30 +876,11 @@ class Engine:
                                     tcbs.append(proc)
                                 else:
                                     target._callbacks = [tcbs, proc]
-                                # drop the stale binding: a lingering
-                                # reference would veto the refcount-
-                                # guarded recycle of this very event at
-                                # its own dispatch
-                                target = None
                 elif type(callbacks) is list:
                     for fn in callbacks:
                         fn(event)
                 else:
                     callbacks(event)
-                # Recycle exhausted plain events/timeouts.  The refcount
-                # guard (2 = the `event` local + getrefcount's argument)
-                # proves nobody else holds the object, so reuse cannot
-                # alias user state; subclasses (Process, AllOf, ...) are
-                # excluded by the exact type check.
-                cls = type(event)
-                if cls is Timeout:
-                    if getrc(event) == 2:
-                        event._value = None
-                        event._san = None
-                        tmo_pool.append(event)
-                elif cls is Event:
-                    if getrc(event) == 2:
-                        ev_pool.append(event)
         finally:
             # locals mirror engine state for speed; write back on every
             # exit (including exceptions propagating out of callbacks),
@@ -962,10 +890,6 @@ class Engine:
             self._event_count = count
             if cur:
                 tail.extendleft(reversed(cur))
-            if len(tmo_pool) > POOL_LIMIT:
-                del tmo_pool[POOL_LIMIT:]
-            if len(ev_pool) > POOL_LIMIT:
-                del ev_pool[POOL_LIMIT:]
 
     @property
     def event_count(self) -> int:

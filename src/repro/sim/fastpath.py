@@ -7,8 +7,11 @@ identical by ``tests/test_fastpath_equivalence.py``:
   ``(time, seq, event)``, the simplest possible formulation and the
   semantic ground truth;
 - the **fast path** -- same-instant events bypass the heap through a
-  FIFO tail queue, resource completions are pooled, and the dispatch
-  loop is flattened.
+  FIFO tail queue, future events share one calendar bucket per distinct
+  instant, resource completions (engine-internal events no caller ever
+  sees) are pooled, and the dispatch loop is flattened.  Events handed
+  to user code are never pooled, so reuse does not depend on reference
+  counts or any other interpreter detail.
 
 Both produce byte-identical traces and telemetry timelines; the fast
 path is purely an implementation speedup.  This module holds the knob
@@ -39,8 +42,9 @@ _REFERENCE_VALUES = ("0", "false", "off", "reference", "ref")
 #: defers to the environment
 _FORCED: Optional[bool] = None
 
-#: completions kept for reuse per engine; beyond this, completed pool
-#: events are dropped to the allocator (bounds memory on bursty runs)
+#: resource completions kept for reuse per engine; only engine-internal
+#: events are pooled, and beyond this bound fired ones are dropped to the
+#: allocator (bounds memory on bursty runs)
 POOL_LIMIT = 1024
 
 

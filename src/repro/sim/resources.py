@@ -22,15 +22,17 @@ hot path.  Service completions are scheduled through
 ``Engine._complete_later`` -- a pooled, closure-free completion on the
 fast path and a plain ``Timeout`` + callback on the reference path,
 dispatch-order identical (see ``tests/test_fastpath_equivalence.py``).
+The engine alone knows its schedule format and owns the completion
+pool; the ``done`` events handed to callers are ordinary, never-reused
+:class:`~repro.sim.engine.Event` objects.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .engine import Engine, Event, SimulationError, _Completion
+from .engine import Engine, Event, SimulationError
 
 __all__ = [
     "FifoQueueMixin",
@@ -122,37 +124,9 @@ class SlotChannel(FifoQueueMixin):
             rate = self.bandwidth / self.slots
             duration = (nbytes / rate) * factor
             self.bytes_transferred += nbytes
-            if engine._fast and duration >= 0.0:
-                # Engine._complete_later's fast path, inlined: drains run
-                # once per service interval, so the call frame shows up
-                # in profiles (see that method for the slow/checked form)
-                pool = engine._comp_pool
-                completion = pool.pop() if pool else _Completion(engine)
-                completion._fn = self._finish_cb
-                completion._a = done
-                completion._b = duration
-                now = engine.now
-                at = now + duration
-                if at > now:
-                    # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                    if at == engine._last_at:
-                        engine._last_bucket.append(completion)
-                    else:
-                        buckets = engine._buckets
-                        bucket = buckets.get(at)
-                        if bucket is None:
-                            heappush(engine._times, at)
-                            buckets[at] = bucket = deque((completion,))
-                        else:
-                            bucket.append(completion)
-                        engine._last_at = at
-                        engine._last_bucket = bucket
-                else:
-                    engine._tail.append(completion)
-            else:
-                completion = engine._complete_later(
-                    duration, self._finish_cb, done, duration
-                )
+            completion = engine._complete_later(
+                duration, self._finish_cb, done, duration
+            )
             if engine.sanitize:
                 # Commutative: a completion frees a slot; which of two
                 # same-instant completions frees first cannot change which
@@ -342,37 +316,9 @@ class Server(FifoQueueMixin):
             self.bytes_served += nbytes
             self.requests_served += 1
             self.busy_time += duration
-            if engine._fast and duration >= 0.0:
-                # inlined Engine._complete_later fast path (same shape as
-                # SlotChannel._drain; see _complete_later for the checked
-                # form)
-                pool = engine._comp_pool
-                completion = pool.pop() if pool else _Completion(engine)
-                completion._fn = self._finish_cb
-                completion._a = done
-                completion._b = duration
-                now = engine.now
-                at = now + duration
-                if at > now:
-                    # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                    if at == engine._last_at:
-                        engine._last_bucket.append(completion)
-                    else:
-                        buckets = engine._buckets
-                        bucket = buckets.get(at)
-                        if bucket is None:
-                            heappush(engine._times, at)
-                            buckets[at] = bucket = deque((completion,))
-                        else:
-                            bucket.append(completion)
-                        engine._last_at = at
-                        engine._last_bucket = bucket
-                else:
-                    engine._tail.append(completion)
-            else:
-                completion = engine._complete_later(
-                    duration, self._finish_cb, done, duration
-                )
+            completion = engine._complete_later(
+                duration, self._finish_cb, done, duration
+            )
             if engine.sanitize:
                 # Commutative: same argument as SlotChannel -- completions
                 # free capacity, the FIFO queue alone picks the next

@@ -22,6 +22,7 @@ changes behaviour:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -302,23 +303,77 @@ def test_user_held_events_are_never_recycled():
 
 
 def test_pool_reuse_is_real_but_bounded():
-    """Unheld timeouts ARE recycled (the pool works) and the pool never
-    exceeds its bound."""
+    """Resource completions ARE recycled (the pool works) and the pool
+    never exceeds its bound, even after a burst of simultaneous ones."""
     from repro.sim.fastpath import POOL_LIMIT
 
     with forced_path(True):
         engine = Engine()
+        channel = SlotChannel(engine, bandwidth=1e6, slots=1)
+        server = Server(engine, rate=1e6, concurrency=1, overhead=1e-4)
 
         def proc():
-            for _ in range(2000):
-                yield engine.timeout(0.001)
+            for _ in range(1000):
+                yield channel.transfer(100.0)
+                yield server.request(100.0)
 
         engine.process(proc())
         engine.run()
-        # steady state: one timeout in flight at a time -> tiny pool,
-        # heavy reuse
-        assert 1 <= len(engine._tmo_pool) <= POOL_LIMIT
-        assert engine.event_count >= 2000
+        # steady state: one completion in flight at a time -> tiny
+        # pool, heavy reuse
+        assert 1 <= len(engine._comp_pool) <= POOL_LIMIT
+        assert engine.event_count >= 4000
+
+        # a burst: more completions fire at one instant than the pool
+        # may keep
+        wide = Server(engine, rate=1e6, concurrency=2 * POOL_LIMIT)
+        for _ in range(2 * POOL_LIMIT):
+            wide.request(100.0)
+        engine.run()
+        assert 1 <= len(engine._comp_pool) <= POOL_LIMIT
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_finished_run_leaves_no_cyclic_garbage(fast):
+    """Processes waiting on plain events, timeouts and child processes
+    form no reference cycles: once a finished engine is dropped,
+    reference counting alone frees everything, so the cycle collector
+    finds nothing (and peak memory does not wait on a gen-2 pass)."""
+
+    def run_program():
+        engine = Engine(fastpath=fast)
+
+        def child(i):
+            yield engine.timeout(0.25)
+            return i
+
+        def waiter(ev):
+            value = yield ev
+            yield engine.timeout(0.5)
+            return value
+
+        def parent():
+            total = 0
+            for i in range(20):
+                ev = engine.event()
+                waiting = engine.process(waiter(ev))
+                yield engine.timeout(0.125)
+                ev.succeed(i)
+                total += yield engine.process(child(i))
+                total += yield waiting
+            return total
+
+        top = engine.process(parent())
+        engine.run()
+        assert top.value == 2 * sum(range(20))
+
+    gc.collect()
+    gc.disable()
+    try:
+        run_program()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- 5: quirk parity -----------------------------------------------------------

@@ -194,6 +194,23 @@ class TestSlowOstLocalisation:
         assert set(groups) == {0, 1, 2, 3}
         assert all(d.n == 3 for d in groups.values())
 
+    def test_nan_duration_does_not_count_toward_the_floor(self):
+        """Two valid events plus one NaN-duration event on a device are
+        two events, short of the three an ensemble needs."""
+        layout = StripeLayout(stripe_size=MiB, stripe_count=2, n_osts=2)
+        durations = [1.0, 2.0, float("nan"), 1.0, 1.0, 1.0]
+        offsets = [0, 0, 0, MiB, MiB, MiB]
+        n = len(durations)
+        tr = Trace.from_columns(
+            rank=[0] * n, op=["pwrite"] * n, path=["/f"] * n, fd=[3] * n,
+            offset=offsets, size=[MiB // 2] * n,
+            t_start=[float(i) for i in range(n)], duration=durations,
+            phase=[""] * n, degraded=[False] * n,
+        )
+        groups = ost_ensembles(tr, layout)
+        assert set(groups) == {1}
+        assert groups[1].n == 3
+
     def test_empty_trace(self):
         layout = StripeLayout(stripe_size=MiB, stripe_count=4, n_osts=4)
         assert find_slow_osts(Trace(), layout) == []
