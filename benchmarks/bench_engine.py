@@ -137,12 +137,9 @@ def test_full_stack_ops_per_second(benchmark):
             yield from px.close(fd)
             return None
 
-        # register rank processes by hand (World.run would also start the
-        # engine); only the dispatch belongs in the timed window
-        for rank in range(world.nranks):
-            world.engine.process(
-                fn(world.make_context(rank)), name=f"rank{rank}"
-            )
+        # spawn without running (World.run would also start the engine);
+        # only the dispatch belongs in the timed window
+        world.spawn(fn)
         return world.engine
 
     sim_ops = nranks * (nwrites + 2)

@@ -51,7 +51,9 @@ def _worker(ctx, nrec: int):
 
 def _timed_job(sanitize: bool) -> float:
     machine = MachineConfig.testbox(n_osts=16, fs_bw=2048 * MiB)
-    job = SimJob(machine, _NTASKS, seed=11, sanitize=sanitize)
+    job = SimJob(
+        machine.with_overrides(sanitize=sanitize), _NTASKS, seed=11
+    )
     gc.collect()  # don't let one arm inherit the other's garbage
     t0 = time.perf_counter()
     job.run(_worker, _NREC)

@@ -53,7 +53,7 @@ def _timed_run(heal: bool) -> float:
         client_failover=True,
         telemetry=True,
     )
-    job = SimJob(machine, 16, seed=2, heal=heal)
+    job = SimJob(machine.with_overrides(heal=heal), 16, seed=2)
     gc.collect()  # don't let one arm inherit the other's garbage
     t0 = time.perf_counter()
     job.run(_writer, _NREC, "/scratch/bench_heal.dat")

@@ -40,7 +40,9 @@ def _worker(ctx, nrec: int):
 
 def _timed_run(telemetry: bool) -> float:
     machine = MachineConfig.testbox(n_osts=16, fs_bw=2048 * MiB)
-    job = SimJob(machine, _NTASKS, seed=11, telemetry=telemetry)
+    job = SimJob(
+        machine.with_overrides(telemetry=telemetry), _NTASKS, seed=11
+    )
     gc.collect()  # don't let one arm inherit the other's garbage
     t0 = time.perf_counter()
     job.run(_worker, _NREC)

@@ -4,7 +4,7 @@ A :class:`SimJob` wires together one engine, one MPI world, one I/O
 substrate, and one IPM collector -- the moral equivalent of launching an
 ``aprun`` job on a machine with the tracing library linked in.  Rank
 functions receive a :class:`~repro.mpi.runtime.RankContext` whose extras
-expose:
+(built by :func:`~repro.ipm.interceptor._rank_handles`) expose:
 
 - ``ctx.io``        the traced (IPM-wrapped) POSIX interface,
 - ``ctx.posix``     the raw POSIX interface (for overhead comparisons),
@@ -16,11 +16,11 @@ expose:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..ipm.events import Trace
-from ..ipm.interceptor import IpmCollector, IpmIo
-from ..iosys.faults import FaultSchedule
+from ..ipm.interceptor import IpmCollector, _rank_handles
 from ..iosys.machine import MachineConfig
 from ..iosys.posix import IoSystem
 from ..iosys.telemetry import TelemetryTimeline
@@ -53,7 +53,12 @@ class AppResult:
 
 
 class SimJob:
-    """One simulated job: machine + world + substrate + tracer."""
+    """One simulated job: machine + world + substrate + tracer.
+
+    Fault schedules, retry, replication, erasure coding, telemetry,
+    healing and the sanitizer are all :class:`MachineConfig` fields: to
+    ablate one, pass ``machine.with_overrides(...)``.
+    """
 
     def __init__(
         self,
@@ -63,43 +68,8 @@ class SimJob:
         ipm_mode: str = "trace",
         ipm_overhead: float = 0.0,
         interconnect: Optional[Interconnect] = None,
-        writeback_delay: float = 30.0,
         placement: str = "packed",
-        faults: Optional[FaultSchedule] = None,
-        client_retry: Optional[bool] = None,
-        replica_count: Optional[int] = None,
-        client_failover: Optional[bool] = None,
-        erasure: Optional["tuple[int, int]"] = None,
-        telemetry: Optional[bool] = None,
-        sanitize: Optional[bool] = None,
-        heal: Optional[bool] = None,
     ):
-        # fault-injection conveniences: the schedule, the retry switch and
-        # the placement knobs live on the machine config, but a job
-        # frequently wants to ablate them without rebuilding the config
-        overrides = {}
-        if faults is not None:
-            overrides["faults"] = faults
-        if client_retry is not None:
-            overrides["client_retry"] = client_retry
-        if replica_count is not None:
-            overrides["replica_count"] = replica_count
-        if client_failover is not None:
-            overrides["client_failover"] = client_failover
-        if erasure is not None:
-            overrides["ec_k"], overrides["ec_m"] = erasure
-        if telemetry is not None:
-            overrides["telemetry"] = telemetry
-        if sanitize is not None:
-            overrides["sanitize"] = sanitize
-        if heal is not None:
-            overrides["heal"] = heal
-            if heal:
-                # healing watches the telemetry stream; turn the
-                # collector on unless the caller pinned it explicitly
-                overrides.setdefault("telemetry", True)
-        if overrides:
-            machine = machine.with_overrides(**overrides)
         self.machine = machine
         self.ntasks = int(ntasks)
         self.seed = int(seed)
@@ -116,21 +86,12 @@ class SimJob:
             machine,
             ntasks=self.ntasks,
             rng=self.rng,
-            writeback_delay=writeback_delay,
             placement=placement,
         )
         self.collector = IpmCollector(mode=ipm_mode, overhead=ipm_overhead)
-        self.world.set_extras_factory(self._extras)
-
-    def _extras(self, rank: int) -> Dict[str, Any]:
-        posix = self.iosys.posix_for(rank)
-        return {
-            "posix": posix,
-            "io": IpmIo.wrap(posix, self.collector),
-            "iosys": self.iosys,
-            "collector": self.collector,
-            "machine": self.machine,
-        }
+        self.world.set_extras_factory(
+            partial(_rank_handles, self.iosys, self.collector, 0)
+        )
 
     def run(
         self, rank_fn: Callable[..., Generator], *args: Any, **kwargs: Any

@@ -103,7 +103,7 @@ def _shared_writer(ctx, nrec, path):
 
 
 def _run_arm(machine, nrec, heal, seed):
-    job = SimJob(machine, 16, seed=seed, heal=heal)
+    job = SimJob(machine.with_overrides(heal=heal), 16, seed=seed)
     return job.run(_shared_writer, nrec, "/scratch/selfheal.dat")
 
 

@@ -13,31 +13,34 @@ storm or bandwidth hog.  This module makes that literal:
   a batch of jobs -- the synthetic job mix of a facility trace.
 - :class:`Facility` admits the jobs onto ONE shared machine: one engine,
   one :class:`~repro.iosys.posix.IoSystem`, disjoint node blocks per job,
-  a private ``COMM_WORLD`` per job.  Each job is tagged with a tenant id
-  (job index + 1; 0 stays "unattributed" so a missing tag is loud) that
-  flows through the client, OST pool, and MDS into per-tenant telemetry,
+  and a private :class:`~repro.mpi.runtime.World` (its own
+  ``COMM_WORLD``) per job, spawned on the shared engine at admission.
+  Each job is tagged with a tenant id (job index + 1; 0 stays
+  "unattributed" so a missing tag is loud) that flows through the
+  client, OST pool, and MDS into per-tenant telemetry,
   and the arbiter's cross-file OST sharing is switched on so co-resident
   tenants genuinely contend for devices.
 
 A facility with a *single* zero-arrival job deliberately reduces to the
 solo :class:`~repro.apps.harness.SimJob` byte-for-byte: tenancy tagging,
 cross-file sharing, and per-tenant telemetry all stay off, and ranks are
-spawned in exactly the order ``World.run`` uses (process creation order
-is what breaks same-time ties in the engine).  The property suite pins
-this reduction against the golden digests.
+started by the same ``World.spawn`` that ``World.run`` uses (process
+creation order is what breaks same-time ties in the engine).  The
+property suite pins this reduction against the golden digests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..ipm.events import Trace
-from ..mpi.comm import Communicator, Interconnect
-from ..mpi.runtime import RankContext
-from ..sim.engine import Engine
+from ..mpi.comm import Interconnect
+from ..mpi.runtime import World, check_finished
+from ..sim.engine import Engine, Process
 from ..sim.rng import RngStreams
 from .machine import MachineConfig, MiB
 from .posix import O_CREAT, O_RDWR, O_SYNC, O_WRONLY, IoSystem
@@ -416,14 +419,6 @@ def parse_arrival_spec(spec: str):
 # ---------------------------------------------------------------------------
 
 
-class _JobWorld:
-    """Minimal ``World`` stand-in for a facility job's rank contexts:
-    :class:`RankContext` only dereferences ``world.engine``."""
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-
-
 @dataclass
 class JobResult:
     """One admitted job's outcome."""
@@ -492,10 +487,6 @@ class Facility:
         machine: MachineConfig,
         jobs: Sequence[TenantJob],
         seed: int = 0,
-        interconnect: Optional[Interconnect] = None,
-        writeback_delay: float = 30.0,
-        ipm_mode: str = "trace",
-        ipm_overhead: float = 0.0,
     ):
         jobs = tuple(jobs)
         if not jobs:
@@ -509,9 +500,6 @@ class Facility:
         self.seed = int(seed)
         self.engine = Engine(sanitize=machine.sanitize)
         self.rng = RngStreams(seed)
-        self._interconnect = interconnect or Interconnect(
-            latency=5e-6, bandwidth=1.6e9
-        )
         # disjoint node-aligned task blocks: tenants never share a node
         tpn = machine.tasks_per_node
         self._bases: List[int] = []
@@ -525,15 +513,12 @@ class Facility:
             machine,
             ntasks=total,
             rng=self.rng,
-            writeback_delay=writeback_delay,
         )
         # deferred import: repro.ipm.interceptor itself imports this
         # package for PosixIo, so a module-level import would be circular
-        from ..ipm.interceptor import IpmCollector
+        from ..ipm.interceptor import IpmCollector, _rank_handles
 
-        self._collectors = [
-            IpmCollector(mode=ipm_mode, overhead=ipm_overhead) for _ in jobs
-        ]
+        self._collectors = [IpmCollector() for _ in jobs]
         self._shared = len(jobs) >= 2
         if self._shared:
             self.iosys.arbiter.enable_cross_file_sharing()
@@ -545,10 +530,20 @@ class Facility:
                     )
                 if self.iosys.telemetry is not None:
                     self.iosys.telemetry.register_tenant(tenant, job.name)
+        # one private COMM_WORLD per job, all on the shared engine;
+        # building them schedules no event and draws no RNG
+        interconnect = Interconnect(latency=5e-6, bandwidth=1.6e9)
+        self._worlds: List[World] = []
+        for idx, job in enumerate(jobs):
+            world = World(
+                job.ntasks, self.engine, interconnect, name=f"comm_{job.name}"
+            )
+            world.set_extras_factory(partial(
+                _rank_handles, self.iosys, self._collectors[idx],
+                self._bases[idx], job=job, tenant=self.tenant_of(idx),
+            ))
+            self._worlds.append(world)
         self._ran = False
-        self._start_t: List[Optional[float]] = [None] * len(jobs)
-        self._finish: List[List[float]] = [[] for _ in jobs]
-        self._rank_procs: List[list] = [[] for _ in jobs]
 
     def tenant_of(self, idx: int) -> int:
         """Tenant id of job ``idx``: 1-based on a shared machine so 0
@@ -556,53 +551,14 @@ class Facility:
         return idx + 1 if self._shared else 0
 
     # -- admission ---------------------------------------------------------
-    def _extras(self, idx: int, rank: int) -> Dict[str, Any]:
-        job = self.jobs[idx]
-        from ..ipm.interceptor import IpmIo
-
-        posix = self.iosys.posix_for(self._bases[idx] + rank)
-        io = IpmIo.wrap(posix, self._collectors[idx])
-        io.rank = rank  # job-local rank in the job's own trace
-        return {
-            "posix": posix,
-            "io": io,
-            "iosys": self.iosys,
-            "collector": self._collectors[idx],
-            "machine": self.machine,
-            "job": job,
-            "tenant": self.tenant_of(idx),
-        }
-
-    def _spawn(self, idx: int) -> list:
-        job = self.jobs[idx]
-        self._start_t[idx] = self.engine.now
-        comm = Communicator(
-            self.engine,
-            job.ntasks,
-            interconnect=self._interconnect,
-            name=f"comm_{job.name}",
+    def _spawn(self, idx: int) -> List[Process]:
+        return self._worlds[idx].spawn(
+            self._rank_fns[idx], **self.jobs[idx].params
         )
-        world = _JobWorld(self.engine)
-        fn = self._rank_fns[idx]
-        finish = self._finish[idx]
-        procs = self._rank_procs[idx]
-        for rank in range(job.ntasks):
-            ctx = RankContext(
-                rank=rank,
-                comm=comm.rank_view(rank),
-                world=world,
-                extras=self._extras(idx, rank),
-            )
-            gen = fn(ctx, **job.params)
-            proc = self.engine.process(gen, name=f"rank{rank}")
-            proc.add_callback(
-                lambda _ev: finish.append(self.engine.now)
-            )
-            procs.append(proc)
-        return procs
 
-    def _admit(self, idx: int):
-        """Admission process for a job arriving after boot.
+    def _admit(self, idx: int, procs: List[Process]):
+        """Admission process for a job arriving after boot; the job's
+        rank processes are appended to ``procs``.
 
         With the self-healing control plane on, admission defers while
         the machine is saturated (facility backpressure): the job waits
@@ -617,7 +573,7 @@ class Facility:
                 yield self.engine.timeout(
                     self.machine.heal_admit_recheck
                 )
-        procs = self._spawn(idx)
+        procs += self._spawn(idx)
         yield self.engine.all_of(procs)
         return None
 
@@ -627,42 +583,27 @@ class Facility:
             raise RuntimeError("facility already ran")
         self._ran = True
         start = self.engine.now
+        procs: List[List[Process]] = [[] for _ in self.jobs]
         admissions = []
         for idx, job in enumerate(self.jobs):
             if job.arrival > 0:
                 admissions.append(
                     self.engine.process(
-                        self._admit(idx), name=f"job{idx}:{job.name}"
+                        self._admit(idx, procs[idx]),
+                        name=f"job{idx}:{job.name}",
                     )
                 )
             else:
                 # boot-time jobs spawn inline, in job order, exactly like
                 # World.run -- creation order is the engine's tiebreak
-                self._spawn(idx)
+                procs[idx] = self._spawn(idx)
         self.engine.run()
-        for procs in self._rank_procs:
-            for p in procs:
-                if p.triggered and not p.ok:
-                    raise p._exc
-        for p in admissions:
-            if p.triggered and not p.ok:
-                raise p._exc
-        unfinished = [
-            p.name
-            for procs in self._rank_procs
-            for p in procs
-            if not p.triggered
-        ] + [p.name for p in admissions if not p.triggered]
-        if unfinished:
-            raise RuntimeError(
-                f"deadlock or truncated run: ranks never finished: "
-                f"{unfinished[:8]}{'...' if len(unfinished) > 8 else ''}"
-            )
+        check_finished([p for ranks in procs for p in ranks] + admissions)
         tel = self.iosys.telemetry
         job_results: List[JobResult] = []
         for idx, job in enumerate(self.jobs):
-            t0 = float(self._start_t[idx])
-            t1 = max(self._finish[idx])
+            t0 = self._worlds[idx].t_start
+            t1 = self._worlds[idx].t_end
             tenant = self.tenant_of(idx)
             if tel is not None and self._shared:
                 tel.record_job(
@@ -677,7 +618,7 @@ class Facility:
                     t_start=t0,
                     t_end=t1,
                     trace=self._collectors[idx].trace,
-                    per_rank=[p.value for p in self._rank_procs[idx]],
+                    per_rank=[p.value for p in procs[idx]],
                     collector=self._collectors[idx],
                 )
             )

@@ -22,10 +22,9 @@ per-phase ensembles (Figure 5a) can be separated without guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict
 
-from ..iosys.posix import PosixIo
+from ..iosys.posix import IoSystem, PosixIo
 from .events import Trace
 from .profile import IoProfile
 
@@ -288,3 +287,30 @@ class IpmIo:
                 t0,
                 getattr(res, "masked_wait", 0.0),
             )
+
+
+def _rank_handles(
+    iosys: IoSystem, collector: IpmCollector, base: int, rank: int,
+    **tags: Any,
+) -> Dict[str, Any]:
+    """The substrate handles of one rank's context: ``ctx.posix``,
+    ``ctx.io`` (traced, recording the job-local ``rank``), ``ctx.iosys``,
+    ``ctx.collector`` and ``ctx.machine``, plus any ``tags`` (a facility
+    job's ``job`` and ``tenant``).  ``base`` is the job's first task on
+    the machine.
+
+    Register it as ``functools.partial(_rank_handles, iosys, collector,
+    base)``: a world then holds no bound method of its owner, so job and
+    world form no reference cycle.
+    """
+    posix = iosys.posix_for(base + rank)
+    io = IpmIo.wrap(posix, collector)
+    io.rank = rank
+    return {
+        "posix": posix,
+        "io": io,
+        "iosys": iosys,
+        "collector": collector,
+        "machine": iosys.config,
+        **tags,
+    }

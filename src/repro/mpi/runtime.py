@@ -13,17 +13,22 @@ event loop to completion::
 
     results = world.run(rank_fn)      # [0, 1, 2, 3]
     elapsed = world.elapsed           # simulated seconds
+
+:meth:`World.spawn` starts the ranks without running the engine, so
+several worlds can share one engine (one per tenant job on a shared
+facility); the owner runs the engine once and hands every rank process
+to :func:`check_finished`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
-from ..sim.engine import Engine
+from ..sim.engine import Engine, Process
 from .comm import Communicator, Interconnect, RankComm
 
-__all__ = ["World", "RankContext"]
+__all__ = ["World", "RankContext", "check_finished"]
 
 
 @dataclass
@@ -55,6 +60,20 @@ class RankContext:
         return self.world.engine.now
 
 
+def check_finished(procs: Sequence[Process]) -> None:
+    """Re-raise the first failed process; else raise if any never ran to
+    completion (a deadlock, or a run cut short)."""
+    for p in procs:
+        if p.triggered and not p.ok:
+            raise p._exc
+    unfinished = [p.name for p in procs if not p.triggered]
+    if unfinished:
+        raise RuntimeError(
+            f"deadlock or truncated run: ranks never finished: "
+            f"{unfinished[:8]}{'...' if len(unfinished) > 8 else ''}"
+        )
+
+
 class World:
     """A set of simulated MPI ranks sharing one engine and COMM_WORLD."""
 
@@ -63,14 +82,19 @@ class World:
         nranks: int,
         engine: Optional[Engine] = None,
         interconnect: Optional[Interconnect] = None,
+        name: str = "comm_world",
     ):
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         self.engine = engine or Engine()
         self.nranks = int(nranks)
         self.comm_world = Communicator(
-            self.engine, self.nranks, interconnect=interconnect
+            self.engine, self.nranks, interconnect=interconnect, name=name
         )
+        #: simulated times at which :meth:`spawn` ran and the last rank
+        #: finished
+        self.t_start: float = 0.0
+        self.t_end: float = 0.0
         self.elapsed: float = 0.0
         self._extras_factory: Optional[Callable[[int], Dict[str, Any]]] = None
 
@@ -89,41 +113,43 @@ class World:
             extras=extras,
         )
 
+    def spawn(
+        self, rank_fn: Callable[..., Generator], *args: Any, **kwargs: Any
+    ) -> List[Process]:
+        """Start ``rank_fn(ctx, *args, **kwargs)`` on every rank, in rank
+        order, without running the engine; returns the rank processes.
+
+        Process creation order is the engine's same-time tiebreak, so it
+        is part of every trace.  ``t_start`` is set to now and ``t_end``
+        follows each rank's finish.
+        """
+        engine = self.engine
+        self.t_start = self.t_end = engine.now
+
+        def finished(_ev: Any) -> None:
+            self.t_end = engine.now
+
+        procs = []
+        for rank in range(self.nranks):
+            gen = rank_fn(self.make_context(rank), *args, **kwargs)
+            proc = engine.process(gen, name=f"rank{rank}")
+            proc.add_callback(finished)
+            procs.append(proc)
+        return procs
+
     def run(
-        self,
-        rank_fn: Callable[..., Generator],
-        *args: Any,
-        until: Optional[float] = None,
-        **kwargs: Any,
+        self, rank_fn: Callable[..., Generator], *args: Any, **kwargs: Any
     ) -> List[Any]:
         """Spawn ``rank_fn(ctx, *args, **kwargs)`` on every rank and run.
 
         Returns the per-rank return values (rank order).  ``world.elapsed``
         holds the simulated time at which the last rank finished.
         """
-        start = self.engine.now
-        finish_times: List[float] = []
-        procs = []
-        for rank in range(self.nranks):
-            ctx = self.make_context(rank)
-            gen = rank_fn(ctx, *args, **kwargs)
-            proc = self.engine.process(gen, name=f"rank{rank}")
-            proc.add_callback(
-                lambda _ev: finish_times.append(self.engine.now)
-            )
-            procs.append(proc)
+        procs = self.spawn(rank_fn, *args, **kwargs)
         # Run past the last rank's return so background activity (delayed
         # writeback flushes) settles, but report job time as the moment the
         # final rank finished -- what a batch system would bill.
-        self.engine.run(until=until)
-        for p in procs:
-            if p.triggered and not p.ok:
-                raise p._exc
-        unfinished = [p.name for p in procs if not p.triggered]
-        if unfinished:
-            raise RuntimeError(
-                f"deadlock or truncated run: ranks never finished: "
-                f"{unfinished[:8]}{'...' if len(unfinished) > 8 else ''}"
-            )
-        self.elapsed = max(finish_times) - start if finish_times else 0.0
+        self.engine.run()
+        check_finished(procs)
+        self.elapsed = self.t_end - self.t_start
         return [p.value for p in procs]

@@ -314,8 +314,10 @@ class _Completion(Event):
 
     __slots__ = ("_fn", "_a", "_b")
 
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
+    def __init__(self) -> None:
+        # no back-reference: the pool lives on the engine, so holding it
+        # here would make every pooled completion a reference cycle
+        self.engine = None  # type: ignore[assignment]
         self._value = None
         self._exc = None
         self._triggered = True  # scheduled at birth, like a Timeout
@@ -696,7 +698,7 @@ class Engine:
             raise SimulationError(f"negative timeout: {delay!r}")
         if self._fast:
             pool = self._comp_pool
-            comp = pool.pop() if pool else _Completion(self)
+            comp = pool.pop() if pool else _Completion()
             comp._fn = fn
             comp._a = a
             comp._b = b

@@ -24,7 +24,11 @@ fast path and a plain ``Timeout`` + callback on the reference path,
 dispatch-order identical (see ``tests/test_fastpath_equivalence.py``).
 The engine alone knows its schedule format and owns the completion
 pool; the ``done`` events handed to callers are ordinary, never-reused
-:class:`~repro.sim.engine.Event` objects.
+:class:`~repro.sim.engine.Event` objects.  Each completion carries a
+fresh bound method (``self._finish``) rather than one cached on the
+resource, which would tie every resource into a reference cycle; the
+completion drops it when it fires, so a finished run is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class SlotChannel(FifoQueueMixin):
 
     __slots__ = (
         "engine", "bandwidth", "slots", "_busy", "_queue",
-        "bytes_transferred", "_finish_cb",
+        "bytes_transferred",
     )
 
     def __init__(self, engine: Engine, bandwidth: float, slots: int = 1) -> None:
@@ -92,9 +96,6 @@ class SlotChannel(FifoQueueMixin):
         self._queue: Deque[Tuple[float, Event, float]] = deque()
         #: total bytes accepted (diagnostics / conservation tests)
         self.bytes_transferred = 0.0
-        #: bound once -- _drain schedules one completion per service
-        #: interval and a fresh bound method per call shows up in profiles
-        self._finish_cb = self._finish
 
     def set_slots(self, slots: int) -> None:
         if slots < 1:
@@ -125,7 +126,7 @@ class SlotChannel(FifoQueueMixin):
             duration = (nbytes / rate) * factor
             self.bytes_transferred += nbytes
             completion = engine._complete_later(
-                duration, self._finish_cb, done, duration
+                duration, self._finish, done, duration
             )
             if engine.sanitize:
                 # Commutative: a completion frees a slot; which of two
@@ -270,7 +271,6 @@ class Server(FifoQueueMixin):
     __slots__ = (
         "engine", "rate", "concurrency", "overhead", "name", "_busy",
         "_queue", "bytes_served", "requests_served", "busy_time",
-        "_finish_cb",
     )
 
     def __init__(
@@ -295,8 +295,6 @@ class Server(FifoQueueMixin):
         self.bytes_served = 0.0
         self.requests_served = 0
         self.busy_time = 0.0
-        #: bound once (same reasoning as SlotChannel._finish_cb)
-        self._finish_cb = self._finish
 
     def request(self, nbytes: float, factor: float = 1.0) -> Event:
         if nbytes < 0:
@@ -317,7 +315,7 @@ class Server(FifoQueueMixin):
             self.requests_served += 1
             self.busy_time += duration
             completion = engine._complete_later(
-                duration, self._finish_cb, done, duration
+                duration, self._finish, done, duration
             )
             if engine.sanitize:
                 # Commutative: same argument as SlotChannel -- completions

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.fastpath import fastpath_default, forced_path
-from repro.sim.resources import Server, SlotChannel
+from repro.sim.resources import Server, SharedPipe, SlotChannel
 
 from tests.test_golden_traces import GOLDEN_DIR, SCENARIOS, digest
 
@@ -335,13 +335,23 @@ def test_pool_reuse_is_real_but_bounded():
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_finished_run_leaves_no_cyclic_garbage(fast):
-    """Processes waiting on plain events, timeouts and child processes
-    form no reference cycles: once a finished engine is dropped,
-    reference counting alone frees everything, so the cycle collector
-    finds nothing (and peak memory does not wait on a gen-2 pass)."""
+    """Processes waiting on plain events, timeouts, child processes and
+    resource completions (channel, server, shared pipe) form no
+    reference cycles: once a finished engine is dropped, reference
+    counting alone frees everything, so the cycle collector finds
+    nothing (and peak memory does not wait on a gen-2 pass)."""
 
     def run_program():
         engine = Engine(fastpath=fast)
+        channel = SlotChannel(engine, bandwidth=1e6, slots=2)
+        server = Server(engine, rate=1e6, concurrency=2, overhead=1e-4)
+        pipe = SharedPipe(engine, capacity=1e6)
+
+        def client(i):
+            yield channel.transfer(1000.0 * (i + 1))
+            yield server.request(500.0)
+            yield pipe.transfer(2000.0)
+            return i
 
         def child(i):
             yield engine.timeout(0.25)
@@ -364,8 +374,11 @@ def test_finished_run_leaves_no_cyclic_garbage(fast):
             return total
 
         top = engine.process(parent())
+        clients = [engine.process(client(i)) for i in range(8)]
         engine.run()
         assert top.value == 2 * sum(range(20))
+        assert [c.value for c in clients] == list(range(8))
+        assert server.requests_served == 8
 
     gc.collect()
     gc.disable()

@@ -531,7 +531,9 @@ def test_healing_preserves_healthy_golden():
         fs_bw=2048 * MiB,
         discipline_weights={4: 1.0},
     ).with_overrides(client_retry=True, telemetry=True)
-    job = SimJob(machine, 8, seed=13, placement="packed", heal=True)
+    job = SimJob(
+        machine.with_overrides(heal=True), 8, seed=13, placement="packed"
+    )
     got = digest(job.run(_shared_writer, 60, "/scratch/golden.dat"))
     golden = json.loads(
         (GOLDEN_DIR / "telemetry_healthy.json").read_text()

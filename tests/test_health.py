@@ -188,7 +188,9 @@ def _heal_run(windows, heal=True, **overrides):
         telemetry=True,
         **overrides,
     )
-    job = SimJob(machine, NTASKS, seed=7, placement="packed", heal=heal)
+    job = SimJob(
+        machine.with_overrides(heal=heal), NTASKS, seed=7, placement="packed"
+    )
     return job.run(_writer, "/scratch/heal.dat")
 
 
@@ -312,7 +314,10 @@ def test_healing_conserves_bytes(stall_t0, stall_span, device, seed):
         client_failover=True,
         telemetry=True,
     )
-    job = SimJob(machine, NTASKS, seed=seed, placement="packed", heal=True)
+    job = SimJob(
+        machine.with_overrides(heal=True), NTASKS, seed=seed,
+        placement="packed",
+    )
     res = job.run(_writer, "/scratch/conserve.dat")
     expected = NTASKS * NREC * RECORD
     # payload conservation: the application's bytes land exactly once

@@ -141,6 +141,40 @@ def test_facility_runs_only_once():
         fac.run()
 
 
+def _stuck(ctx):
+    yield ctx.engine.event()  # never triggered
+
+
+class _RankCrash(Exception):
+    pass
+
+
+def _crash(ctx):
+    yield ctx.engine.timeout(0.01)
+    if ctx.rank == 1:
+        raise _RankCrash(f"{ctx.job.name} rank 1 failed")
+
+
+_OK = TenantJob("ok", "idle", 1, params={"nops": 1, "pause": 0.01})
+
+
+def test_deadlocked_tenant_is_reported_by_name():
+    jobs = [_OK, TenantJob("stuck", _stuck, 2, arrival=0.1)]
+    with pytest.raises(
+        RuntimeError,
+        match=r"deadlock or truncated run: ranks never finished: "
+              r"\['rank0', 'rank1', 'job1:stuck'\]",
+    ):
+        Facility(_machine("plain"), jobs, seed=0).run()
+
+
+@pytest.mark.parametrize("arrival", [0.0, 0.1])
+def test_failing_tenant_rank_reraises(arrival):
+    jobs = [_OK, TenantJob("bad", _crash, 2, arrival=arrival)]
+    with pytest.raises(_RankCrash, match="bad rank 1 failed"):
+        Facility(_machine("plain"), jobs, seed=0).run()
+
+
 def test_bad_tenant_job_fields_rejected():
     with pytest.raises(ValueError, match="ntasks must be >= 1"):
         TenantJob("a", "idle", 0)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.harness import SimJob
+from repro.apps.mpiio import MpiFile
 from repro.iosys.machine import MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_SYNC, O_WRONLY
 from repro.iosys.scheduler import (
@@ -148,20 +149,35 @@ def _solo_checkpoint(ctx, nfiles):
     return nfiles * rec
 
 
+def _collective_writer(ctx):
+    """Two-phase MPI-IO write: reads ``ctx.world.comm_world``."""
+    f = yield from MpiFile.open(ctx, "/scratch/victim/coll.dat", 4)
+    yield from f.write_at_all(ctx.rank * MiB, MiB, cb_nodes=2)
+    yield from f.close()
+    return None
+
+
 def test_single_tenant_facility_is_byte_identical_to_simjob():
     machine = MachineConfig.shared_testbox()
-    fac = Facility(
-        machine,
-        [TenantJob("victim", "checkpoint", 4, params={"nfiles": 8})],
-        seed=11,
-    ).run()
-    solo = SimJob(machine, 4, seed=11).run(_solo_checkpoint, 8)
+    for workload, rank_fn, params in (
+        ("checkpoint", _solo_checkpoint, {"nfiles": 8}),
+        (_collective_writer, _collective_writer, {}),
+    ):
+        fac = Facility(
+            machine,
+            [TenantJob("victim", workload, 4, params=params)],
+            seed=11,
+        ).run()
+        solo = SimJob(machine, 4, seed=11).run(rank_fn, **params)
 
-    assert canonical_lines(fac.trace) == canonical_lines(solo.trace)
-    assert fac.total_bytes == solo.trace.total_bytes
-    assert telemetry_digest(fac.telemetry) == telemetry_digest(solo.telemetry)
-    # and the single job stays untagged: no tenant machinery leaks in
-    jr = fac.jobs[0]
-    assert jr.tenant == 0
-    assert fac.telemetry.tenants == {}
-    assert fac.telemetry.job_windows == ()
+        assert canonical_lines(fac.trace) == canonical_lines(solo.trace)
+        assert fac.total_bytes == solo.trace.total_bytes
+        assert fac.elapsed.hex() == solo.elapsed.hex()
+        assert telemetry_digest(fac.telemetry) == telemetry_digest(
+            solo.telemetry
+        )
+        # and the single job stays untagged: no tenant machinery leaks in
+        jr = fac.jobs[0]
+        assert jr.tenant == 0
+        assert fac.telemetry.tenants == {}
+        assert fac.telemetry.job_windows == ()
