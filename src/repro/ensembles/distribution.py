@@ -10,11 +10,11 @@ modes, plus the pdf/cdf estimates the order-statistics machinery consumes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .histogram import HistogramResult, linear_histogram
 
@@ -23,6 +23,96 @@ __all__ = ["Moments", "EmpiricalDistribution", "trapezoid"]
 #: the trapezoidal rule; numpy 2.0 renamed ``np.trapz`` to
 #: ``np.trapezoid``, and the package supports numpy >= 1.24
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else getattr(np, "trapz")
+
+#: elements of the largest temporary :func:`_gaussian_kde` allocates
+#: (2**19 float64s = 4 MiB)
+_KDE_BLOCK = 1 << 19
+
+#: log of the largest float, the underflow cut of the chi-squared tail
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _standard_moments(s: np.ndarray) -> Tuple[float, float]:
+    """(skewness g1, kurtosis b2 = m4/m2**2) with biased central moments;
+    nan for both when the spread vanishes against the mean.
+
+    The powers are formed as ``d**2 * d`` and ``(d**2)**2``: the same
+    steps, hence the same bits, as the reference implementation
+    ``tests/test_stat_kernels.py`` checks against.
+    """
+    mean = s.mean()
+    d = s - mean
+    d2 = d**2
+    m2 = d2.mean()
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return math.nan, math.nan
+    return float((d2 * d).mean() / m2**1.5), float((d2**2).mean() / m2**2.0)
+
+
+def _normaltest_pvalue(s: np.ndarray) -> float:
+    """D'Agostino-Pearson omnibus p-value (n >= 8).
+
+    K2 = Zs**2 + Zk**2 from the skewness test (D'Agostino 1970) and the
+    kurtosis test (Anscombe & Glynn 1983); K2 is chi-squared with two
+    degrees of freedom under normality, whose survival function is
+    exp(-K2/2).  Returns nan when the sample's spread vanishes.
+    """
+    g1, b2 = _standard_moments(s)
+    n = float(len(s))
+    # skewness test
+    y = g1 * math.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+    beta2 = (3.0 * (n**2 + 27 * n - 70) * (n + 1) * (n + 3)
+             / ((n - 2.0) * (n + 5) * (n + 7) * (n + 9)))
+    w2 = -1 + math.sqrt(2 * (beta2 - 1))
+    delta = 1 / math.sqrt(0.5 * math.log(w2))
+    alpha = math.sqrt(2.0 / (w2 - 1))
+    y = 1.0 if y == 0 else y  # as in the reference implementation
+    z_skew = delta * math.log(y / alpha + math.sqrt((y / alpha) ** 2 + 1))
+    # kurtosis test
+    mean_b2 = 3.0 * (n - 1) / (n + 1)
+    var_b2 = (24.0 * n * (n - 2) * (n - 3)
+              / ((n + 1) * (n + 1.0) * (n + 3) * (n + 5)))
+    x = (b2 - mean_b2) / var_b2**0.5
+    sqrt_beta1 = (6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+                  * ((6.0 * (n + 3) * (n + 5)) / (n * (n - 2) * (n - 3))) ** 0.5)
+    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1
+                                  + (1 + 4.0 / sqrt_beta1**2) ** 0.5)
+    denom = 1 + x * (2 / (a - 4.0)) ** 0.5
+    if denom == 0:
+        return math.nan
+    term2 = math.copysign(((1 - 2.0 / a) / abs(denom)) ** (1 / 3), denom)
+    z_kurt = (1 - 2 / (9.0 * a) - term2) / (2 / (9.0 * a)) ** 0.5
+    half = (z_skew**2 + z_kurt**2) / 2
+    # 0 where Cephes' chi-squared tail (igamc) underflows,
+    # log(half) - half < -log(max float), inside exp's subnormal range
+    if half > 700 and half - math.log(half) > _LOG_MAX:
+        return 0.0
+    return math.exp(-half)
+
+
+def _gaussian_kde(
+    samples: np.ndarray, points: np.ndarray, bandwidth: Optional[float]
+) -> np.ndarray:
+    """Gaussian kernel density of ``samples`` at ``points``.
+
+    The kernel width is ``bandwidth`` (Scott's rule n**-1/5 when None)
+    times the sample std (ddof=1).  The kernel sum runs over blocks of
+    samples so no temporary exceeds :data:`_KDE_BLOCK` elements.
+    """
+    n = len(samples)
+    factor = n ** -0.2 if bandwidth is None else float(bandwidth)
+    h = math.sqrt(float(np.var(samples, ddof=1))) * factor
+    scale = -0.5 / h**2
+    out = np.zeros(len(points))
+    rows = max(1, _KDE_BLOCK // max(len(points), 1))
+    for start in range(0, n, rows):
+        # differences before scaling: exact for near-constant samples
+        z = samples[start:start + rows, None] - points
+        z *= z
+        z *= scale
+        np.exp(z, out=z)
+        out += z.sum(axis=0)
+    return out * (1.0 / (math.sqrt(2 * math.pi) * h * n))
 
 
 @dataclass(frozen=True)
@@ -61,21 +151,19 @@ class EmpiricalDistribution:
     def moments(self) -> Moments:
         s = self.samples
         spread = float(s.std()) if len(s) > 1 else 0.0
-        # scipy warns (and returns garbage) for near-constant samples;
-        # report zero shape moments there instead
+        # shape moments of near-constant samples are rounding noise;
+        # report zero there instead
         degenerate = spread <= 1e-12 * max(abs(float(s[-1])), 1.0)
+        skew, b2 = (
+            _standard_moments(s) if len(s) > 2 and not degenerate
+            else (0.0, 3.0)
+        )
         return Moments(
             n=len(s),
             mean=float(s.mean()),
             std=float(s.std(ddof=1)) if len(s) > 1 else 0.0,
-            skewness=(
-                float(stats.skew(s)) if len(s) > 2 and not degenerate else 0.0
-            ),
-            kurtosis=(
-                float(stats.kurtosis(s))
-                if len(s) > 3 and not degenerate
-                else 0.0
-            ),
+            skewness=skew,
+            kurtosis=b2 - 3 if len(s) > 3 and not degenerate else 0.0,
             min=float(s[0]),
             max=float(s[-1]),
         )
@@ -116,8 +204,7 @@ class EmpiricalDistribution:
             return t, f
         pad = 0.05 * (hi - lo)
         t = np.linspace(lo - pad, hi + pad, n_points)
-        kde = stats.gaussian_kde(s, bw_method=bandwidth)
-        return t, kde(t)
+        return t, _gaussian_kde(s, t, bandwidth)
 
     # -- histograms ------------------------------------------------------------
     def histogram(self, bins: int = 50) -> HistogramResult:
@@ -133,11 +220,7 @@ class EmpiricalDistribution:
         """
         s = self.samples
         if len(s) >= 20 and float(s.std()) > 0:
-            try:
-                _stat, p = stats.normaltest(s)
-                return float(p)
-            except Exception:
-                pass
+            return _normaltest_pvalue(s)
         m = self.moments()
         score = 1.0 / (1.0 + m.skewness**2 + 0.25 * m.kurtosis**2)
         return float(score)

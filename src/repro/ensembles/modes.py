@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
 from .distribution import EmpiricalDistribution, trapezoid
 
@@ -42,6 +41,40 @@ class HarmonicStructure:
     is_harmonic: bool
 
 
+def _local_maxima(f: np.ndarray) -> np.ndarray:
+    """Indices of the strict local maxima of ``f``.  A flat top counts
+    once, at its middle (rounded down); neither end of ``f`` is a peak."""
+    if len(f) < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.concatenate([[True], f[1:] != f[:-1]]))
+    ends = np.concatenate([starts[1:] - 1, [len(f) - 1]])
+    v = f[starts]
+    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    return (starts[top] + ends[top]) // 2
+
+
+def _find_peaks(
+    f: np.ndarray, min_prominence: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Local maxima of ``f`` whose topographic prominence is at least
+    ``min_prominence`` -> (indices, prominences).
+
+    A peak's prominence is its height above the higher of the two minima
+    between it and the nearest higher sample on either side (or the end
+    of ``f``).
+    """
+    peaks = _local_maxima(f)
+    prominences = np.empty(len(peaks))
+    for k, p in enumerate(peaks):
+        higher = np.flatnonzero(f > f[p])
+        right = np.searchsorted(higher, p)
+        lo = higher[right - 1] + 1 if right > 0 else 0
+        hi = higher[right] if right < len(higher) else len(f)
+        prominences[k] = f[p] - max(f[lo:p + 1].min(), f[p:hi].min())
+    keep = min_prominence <= prominences
+    return peaks[keep], prominences[keep]
+
+
 def detect_modes(
     dist: EmpiricalDistribution,
     n_points: int = 512,
@@ -52,25 +85,23 @@ def detect_modes(
     """Find the modes of an ensemble via peaks of the KDE density.
 
     ``min_prominence`` is relative to the tallest peak, so the test is
-    scale-free.  ``bandwidth`` is scipy's ``bw_method`` (a multiple of the
-    sample std); Scott's rule can over-smooth strongly multimodal
-    ensembles, so mode hunting often wants ~0.15.  Returns modes sorted by
-    location (fastest first).
+    scale-free.  ``bandwidth`` is the kernel width as a multiple of the
+    sample std (Scott's rule when None); Scott's rule can over-smooth
+    strongly multimodal ensembles, so mode hunting often wants ~0.15.
+    Returns modes sorted by location (fastest first).
     """
     t, f = dist.pdf_grid(n_points=n_points, bandwidth=bandwidth)
     if f.max() <= 0:
         return []
-    peaks, props = signal.find_peaks(
-        f, prominence=min_prominence * f.max()
-    )
+    peaks, prominences = _find_peaks(f, min_prominence * f.max())
     if len(peaks) == 0:
         # monotone or single-bump density: take the argmax as the one mode
         i = int(np.argmax(f))
         peaks = np.array([i])
-        props = {"prominences": np.array([f[i]])}
-    order = np.argsort(props["prominences"])[::-1][:max_modes]
-    peaks = peaks[np.sort(order)]
-    prominences = props["prominences"][np.sort(order)]
+        prominences = np.array([f[i]])
+    order = np.sort(np.argsort(prominences)[::-1][:max_modes])
+    peaks = peaks[order]
+    prominences = prominences[order]
 
     # approximate each peak's mass: integrate density to the midpoints
     # between neighbouring peaks
