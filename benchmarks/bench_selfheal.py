@@ -21,25 +21,10 @@ import time
 from repro.apps.harness import SimJob
 from repro.experiments import fig_selfheal
 from repro.iosys.machine import MachineConfig, MiB
-from repro.iosys.posix import O_CREAT, O_RDWR
+from repro.iosys.scheduler import shared_write
 
 _REPS = 9
 _NREC = 60
-
-
-def _writer(ctx, nrec, path):
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, 8)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    base = ctx.rank * nrec * int(MiB)
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, int(MiB), base + j * int(MiB))
-    yield from ctx.io.close(fd)
-    return None
 
 
 def _timed_run(heal: bool) -> float:
@@ -56,7 +41,7 @@ def _timed_run(heal: bool) -> float:
     job = SimJob(machine.with_overrides(heal=heal), 16, seed=2)
     gc.collect()  # don't let one arm inherit the other's garbage
     t0 = time.perf_counter()
-    job.run(_writer, _NREC, "/scratch/bench_heal.dat")
+    job.run(shared_write, "/scratch/bench_heal.dat", _NREC, MiB, 8)
     return time.perf_counter() - t0
 
 

@@ -24,7 +24,6 @@ from ..ipm.interceptor import IpmCollector, _rank_handles
 from ..iosys.machine import MachineConfig
 from ..iosys.posix import IoSystem
 from ..iosys.telemetry import TelemetryTimeline
-from ..mpi.comm import Interconnect
 from ..mpi.runtime import World
 from ..sim.engine import Engine
 from ..sim.rng import RngStreams
@@ -55,9 +54,10 @@ class AppResult:
 class SimJob:
     """One simulated job: machine + world + substrate + tracer.
 
-    Fault schedules, retry, replication, erasure coding, telemetry,
-    healing and the sanitizer are all :class:`MachineConfig` fields: to
-    ablate one, pass ``machine.with_overrides(...)``.
+    The interconnect, fault schedules, retry, replication, erasure
+    coding, telemetry, healing and the sanitizer are all
+    :class:`MachineConfig` fields: to ablate one, pass
+    ``machine.with_overrides(...)``.
     """
 
     def __init__(
@@ -67,7 +67,6 @@ class SimJob:
         seed: int = 0,
         ipm_mode: str = "trace",
         ipm_overhead: float = 0.0,
-        interconnect: Optional[Interconnect] = None,
         placement: str = "packed",
     ):
         self.machine = machine
@@ -76,10 +75,7 @@ class SimJob:
         self.engine = Engine(sanitize=machine.sanitize)
         self.rng = RngStreams(seed)
         self.world = World(
-            self.ntasks,
-            engine=self.engine,
-            interconnect=interconnect
-            or Interconnect(latency=5e-6, bandwidth=1.6e9),
+            self.ntasks, engine=self.engine, interconnect=machine.interconnect
         )
         self.iosys = IoSystem(
             self.engine,
@@ -107,6 +103,7 @@ class SimJob:
         if self.iosys.health is not None:
             # conditional keys: heal-off records stay byte-identical
             meta.update(self.iosys.health.counters())
+            self.iosys.health.detach()
         return AppResult(
             trace=self.collector.trace,
             elapsed=self.world.elapsed,

@@ -45,7 +45,7 @@ from ..ensembles.diagnose import diagnose
 from ..ensembles.locate import find_rebuild_pressure
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
-from ..iosys.posix import O_CREAT, O_RDWR
+from ..iosys.scheduler import fpt_write_read
 from .fig_failover import _locate, _read_totals, _stall_window
 from .runner import ExperimentResult, format_table
 
@@ -78,51 +78,20 @@ def _params(scale: str):
     return 16, 3
 
 
-def _machine(**overrides) -> MachineConfig:
-    return MachineConfig.testbox(
-        n_osts=_N_OSTS,
-        fs_bw=2048 * MiB,
-        fs_read_bw=2048 * MiB,
-        default_stripe_count=_STRIPES,
-        discipline_weights={2: 1.0},
-    ).with_overrides(
+def _run(scheme: str, ntasks, nrec, seed, faults=None):
+    replicas, ec = _SCHEMES[scheme]
+    machine = MachineConfig.resilience_testbox(
         # a fat client pipe: the degraded read's k-fold survivor haul must
         # cost wire time proportional to the code, not dominate the tail
         client_bw=800 * MiB,
-        client_retry=True,
-        # timeouts sized to the simulated stall windows (seconds-scale)
-        retry_base_timeout=0.05,
-        retry_max_timeout=0.8,
-        failover_probe_interval=0.5,
-        **overrides,
-    )
-
-
-def _worker(ctx, nrec: int, base: str):
-    path = f"{base}.{ctx.rank:04d}"
-    ctx.iosys.set_stripe_count(path, _STRIPES)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, _GROUP, j * _GROUP)
-    yield from ctx.comm.barrier()
-    ctx.io.region("read")
-    for j in range(nrec * (_GROUP // _SUB)):
-        yield from ctx.io.pread(fd, _SUB, j * _SUB)
-    yield from ctx.io.close(fd)
-    return None
-
-
-def _run(scheme: str, ntasks, nrec, seed, faults=None):
-    replicas, ec = _SCHEMES[scheme]
-    machine = _machine(
         replica_count=replicas,
-        client_failover=True,
         faults=faults,
         **({"ec_k": ec[0], "ec_m": ec[1]} if ec else {}),
     )
-    job = SimJob(machine, ntasks, seed=seed, placement="packed")
-    return job.run(_worker, nrec, "/scratch/ec")
+    job = SimJob(machine, ntasks, seed=seed)
+    return job.run(
+        fpt_write_read, "/scratch/ec", nrec, _GROUP, _SUB, _STRIPES
+    )
 
 
 def _redundant_ratio(res, payload: int) -> float:

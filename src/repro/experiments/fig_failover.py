@@ -37,7 +37,7 @@ from ..ensembles.diagnose import diagnose
 from ..ensembles.locate import find_masked_faults
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
-from ..iosys.posix import O_CREAT, O_RDWR
+from ..iosys.scheduler import fpt_write_read
 from .runner import ExperimentResult, format_table
 
 __all__ = ["run", "main"]
@@ -59,44 +59,14 @@ def _params(scale: str):
     return 16, 12
 
 
-def _machine(**overrides) -> MachineConfig:
-    return MachineConfig.testbox(
-        n_osts=_N_OSTS,
-        fs_bw=2048 * MiB,
-        fs_read_bw=2048 * MiB,
-        default_stripe_count=_STRIPES,
-        discipline_weights={2: 1.0},
-    ).with_overrides(
-        client_retry=True,
-        # timeouts sized to the simulated stall windows (seconds-scale)
-        retry_base_timeout=0.05,
-        retry_max_timeout=0.8,
-        failover_probe_interval=0.5,
-        **overrides,
-    )
-
-
-def _worker(ctx, nrec: int, base: str):
-    path = f"{base}.{ctx.rank:04d}"
-    ctx.iosys.set_stripe_count(path, _STRIPES)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, _RECORD, j * _RECORD)
-    yield from ctx.comm.barrier()
-    ctx.io.region("read")
-    for j in range(nrec):
-        yield from ctx.io.pread(fd, _RECORD, j * _RECORD)
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _run(k, ntasks, nrec, seed, faults=None, failover=True):
-    machine = _machine(
+    machine = MachineConfig.resilience_testbox(
         replica_count=k, client_failover=failover, faults=faults
     )
-    job = SimJob(machine, ntasks, seed=seed, placement="packed")
-    return job.run(_worker, nrec, "/scratch/mirror")
+    job = SimJob(machine, ntasks, seed=seed)
+    return job.run(
+        fpt_write_read, "/scratch/mirror", nrec, _RECORD, _RECORD, _STRIPES
+    )
 
 
 def _read_totals(res) -> np.ndarray:

@@ -28,7 +28,7 @@ from ..ensembles.diagnose import diagnose
 from ..ensembles.locate import find_transient_faults
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
-from ..iosys.posix import O_CREAT, O_RDWR
+from ..iosys.scheduler import shared_write
 from .runner import ExperimentResult, format_table
 
 __all__ = ["run", "main"]
@@ -47,24 +47,9 @@ def _params(scale: str):
     return 8, 60
 
 
-def _writer(ctx, nrec: int, path: str, stripe_count: int):
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, stripe_count)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    base = ctx.rank * nrec * _RECORD
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, _RECORD, base + j * _RECORD)
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _run_once(machine, ntasks, nrec, seed, path):
-    job = SimJob(machine, ntasks, seed=seed, placement="packed")
-    result = job.run(_writer, nrec, path, machine.n_osts)
+    job = SimJob(machine, ntasks, seed=seed)
+    result = job.run(shared_write, path, nrec, _RECORD, machine.n_osts)
     layout = job.iosys.lookup(path).layout
     return result, layout
 

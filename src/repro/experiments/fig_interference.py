@@ -41,9 +41,8 @@ import numpy as np
 from ..apps.harness import SimJob
 from ..ensembles.diagnose import find_interference
 from ..ensembles.oracle import CONTRADICTED, verify_interference
-from ..iosys.machine import MachineConfig, MiB
-from ..iosys.posix import O_CREAT, O_SYNC, O_WRONLY
-from ..iosys.scheduler import Facility, TenantJob
+from ..iosys.machine import MachineConfig
+from ..iosys.scheduler import WORKLOADS, Facility, TenantJob
 from ..iosys.telemetry import TENANT_OST_FIELDS
 from .runner import ExperimentResult, format_table
 
@@ -69,26 +68,9 @@ def _params(scale: str) -> int:
     return 24
 
 
-def _machine() -> MachineConfig:
-    return MachineConfig.shared_testbox()
-
-
 def _victim(nfiles: int) -> TenantJob:
     return TenantJob("victim", "checkpoint", _VICTIM_TASKS,
                      params={"nfiles": nfiles})
-
-
-def _solo_checkpoint(ctx, nfiles: int):
-    """The checkpoint workload as a plain SimJob rank function (fixed
-    path base, no facility context) for the byte-identity check."""
-    rec = int(MiB)
-    for i in range(nfiles):
-        path = f"/scratch/victim/ckpt{ctx.rank}_{i}.dat"
-        fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY | O_SYNC)
-        ctx.io.region("write")
-        yield from ctx.io.pwrite(fd, rec, 0)
-        yield from ctx.io.close(fd)
-    return nfiles * rec
 
 
 def _conserved(res) -> bool:
@@ -113,7 +95,7 @@ def run(scale: str = "paper", seed: int = 11) -> ExperimentResult:
     from ..store.capture import trace_digest
 
     nfiles = _params(scale)
-    machine = _machine()
+    machine = MachineConfig.shared_testbox()
 
     rows: List[Dict[str, object]] = []
     reports = {}
@@ -149,7 +131,7 @@ def run(scale: str = "paper", seed: int = 11) -> ExperimentResult:
     res_alone = Facility(machine, [_victim(nfiles)], seed=seed).run()
     t_alone = res_alone.job("victim").elapsed
     solo = SimJob(machine, _VICTIM_TASKS, seed=seed).run(
-        _solo_checkpoint, nfiles
+        WORKLOADS["checkpoint"], nfiles, directory="/scratch/victim"
     )
     solo_identical = trace_digest(res_alone.trace) == trace_digest(solo.trace)
     rows.append(

@@ -47,8 +47,7 @@ from ..apps.harness import SimJob
 from ..ensembles.oracle import verify_healing
 from ..iosys.faults import FaultSchedule, flapping_device, oss_domain_stall
 from ..iosys.machine import MachineConfig, MiB
-from ..iosys.posix import O_CREAT, O_RDWR
-from ..iosys.scheduler import Facility, TenantJob
+from ..iosys.scheduler import Facility, TenantJob, shared_write
 from .runner import ExperimentResult, format_table
 
 __all__ = ["run", "main"]
@@ -78,33 +77,18 @@ def _machine(**extra) -> MachineConfig:
     ).with_overrides(
         replica_count=2,
         client_retry=True,
-        client_failover=True,
         telemetry=True,
         **extra,
     )
 
 
-def _shared_writer(ctx, nrec, path):
-    """Striped shared-file writer whose primary copies land on OSTs 0-7
-    (stripe_count=8 from start 0) -- squarely on the stalled domain --
-    while the mirror lives on the healthy half (replica shift 8)."""
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, 8)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    base = ctx.rank * nrec * int(MiB)
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, int(MiB), base + j * int(MiB))
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _run_arm(machine, nrec, heal, seed):
+    """One arm: a striped shared-file writer whose primary copies land
+    on OSTs 0-7 (stripe_count=8 from start 0) -- squarely on the stalled
+    domain -- while the mirror lives on the healthy half (replica shift
+    8)."""
     job = SimJob(machine.with_overrides(heal=heal), 16, seed=seed)
-    return job.run(_shared_writer, nrec, "/scratch/selfheal.dat")
+    return job.run(shared_write, "/scratch/selfheal.dat", nrec, MiB, 8)
 
 
 def _slowest_rank(res) -> float:
@@ -204,8 +188,8 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
     )
 
     # -- facility backpressure: shed, throttle, re-admit --------------------
-    shared = MachineConfig.shared_testbox().with_overrides(
-        telemetry=True, heal=True, heal_backpressure_depth=16
+    shared = MachineConfig.shared_testbox(
+        heal=True, heal_backpressure_depth=16
     )
     fac = Facility(
         shared,

@@ -50,7 +50,8 @@ from ..ensembles.oracle import (
 )
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
-from ..iosys.posix import O_CREAT, O_RDWR
+from ..iosys.scheduler import fpt_write_read, shared_write
+from .fig_failover import _stall_window
 from .runner import ExperimentResult, format_table
 
 __all__ = ["run", "main"]
@@ -70,54 +71,24 @@ def _params(scale: str):
 
 
 def _machine(**overrides) -> MachineConfig:
-    return MachineConfig.testbox(
-        n_osts=_N_OSTS,
-        fs_bw=2048 * MiB,
-        fs_read_bw=2048 * MiB,
-        default_stripe_count=4,
-        discipline_weights={2: 1.0},
-    ).with_overrides(
-        client_retry=True,
-        client_failover=True,
-        retry_base_timeout=0.05,
-        retry_max_timeout=0.8,
-        failover_probe_interval=0.5,
-        telemetry=True,
-        **overrides,
+    overrides.setdefault("telemetry", True)
+    return MachineConfig.resilience_testbox(**overrides)
+
+
+def _shared(machine: MachineConfig, ntasks: int, nrec: int, seed: int):
+    """Shared-file records striped over the whole pool, so every device
+    serves a slice and per-device attribution has something to find."""
+    return SimJob(machine, ntasks, seed=seed).run(
+        shared_write, "/scratch/tel.dat", nrec, MiB, _N_OSTS
     )
 
 
-def _shared_writer(ctx, nrec: int, path: str):
-    """Shared-file records striped over the whole pool, so every device
-    serves a slice and per-device attribution has something to find."""
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, ctx.machine.n_osts)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    base = ctx.rank * nrec * MiB
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, MiB, base + j * MiB)
-    yield from ctx.io.close(fd)
-    return None
-
-
-def _fpt_worker(ctx, nrec: int, base: str):
+def _fpt(machine: MachineConfig, ntasks: int, nrec: int, seed: int,
+         base: str):
     """File-per-task write-then-read for the protected placements."""
-    path = f"{base}.{ctx.rank:04d}"
-    ctx.iosys.set_stripe_count(path, 4)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, MiB, j * MiB)
-    yield from ctx.comm.barrier()
-    ctx.io.region("read")
-    for j in range(nrec):
-        yield from ctx.io.pread(fd, MiB, j * MiB)
-    yield from ctx.io.close(fd)
-    return None
+    return SimJob(machine, ntasks, seed=seed).run(
+        fpt_write_read, base, nrec, MiB, MiB, 4
+    )
 
 
 def _conserved(res) -> bool:
@@ -144,13 +115,9 @@ def _fault_findings(findings):
 
 
 def _read_stall(res) -> FaultSchedule:
-    """Place the stall inside this run's read phase (healthy probe run),
-    covering ~40% of the healthy read span."""
-    reads = res.trace.filter(ops=["pread"])
-    t0 = float(reads.starts.min())
-    span = float(reads.ends.max()) - t0
+    """Place the stall inside this run's read phase (healthy probe run)."""
     return FaultSchedule.of(
-        FaultWindow(STALL, t0 + 0.15 * span, t0 + 0.55 * span, device=_SICK)
+        FaultWindow(STALL, *_stall_window(res), device=_SICK)
     )
 
 
@@ -180,8 +147,7 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
         return res
 
     # -- healthy control (doubles as the probe sizing the stall window) ----
-    job = SimJob(_machine(), ntasks, seed=seed)
-    res_ok = job.run(_shared_writer, nrec, "/scratch/tel.dat")
+    res_ok = _shared(_machine(), ntasks, nrec, seed)
     lay_ok = res_ok.iosys.lookup("/scratch/tel.dat").layout
     ok_findings = _fault_findings(diagnose(res_ok.trace, layout=lay_ok))
 
@@ -194,8 +160,7 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
             device=_SICK,
         )
     )
-    job = SimJob(_machine(faults=stall), ntasks, seed=seed)
-    res_stall = job.run(_shared_writer, nrec, "/scratch/tel.dat")
+    res_stall = _shared(_machine(faults=stall), ntasks, nrec, seed)
     lay_stall = res_stall.iosys.lookup("/scratch/tel.dat").layout
     stall_findings = _fault_findings(
         diagnose(res_stall.trace, layout=lay_stall)
@@ -207,10 +172,7 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
     )
 
     # -- slow: the static scan graded in both directions --------------------
-    job = SimJob(
-        _machine(ost_slowdown={3: 4.0}), ntasks, seed=seed
-    )
-    res_slow = job.run(_shared_writer, nrec, "/scratch/tel.dat")
+    res_slow = _shared(_machine(ost_slowdown={3: 4.0}), ntasks, nrec, seed)
     lay_slow = res_slow.iosys.lookup("/scratch/tel.dat").layout
     _book(
         "slow",
@@ -221,17 +183,14 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
     )
 
     # -- mirror: the masked fault must still be named -----------------------
-    probe = SimJob(
-        _machine(replica_count=2).with_overrides(telemetry=False),
-        ntasks,
-        seed=seed,
-    ).run(_fpt_worker, nrec, "/scratch/mir")
-    job = SimJob(
-        _machine(faults=_read_stall(probe), replica_count=2),
-        ntasks,
-        seed=seed,
+    probe = _fpt(
+        _machine(replica_count=2, telemetry=False), ntasks, nrec, seed,
+        "/scratch/mir",
     )
-    res_mir = job.run(_fpt_worker, nrec, "/scratch/mir")
+    res_mir = _fpt(
+        _machine(faults=_read_stall(probe), replica_count=2),
+        ntasks, nrec, seed, "/scratch/mir",
+    )
     mir_findings = []
     for path, f in sorted(res_mir.iosys._files.items()):
         mir_findings.extend(
@@ -246,17 +205,14 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
     )
 
     # -- ec: the lost data device must be named ------------------------------
-    probe = SimJob(
-        _machine(ec_k=4, ec_m=1).with_overrides(telemetry=False),
-        ntasks,
-        seed=seed,
-    ).run(_fpt_worker, nrec, "/scratch/ec")
-    job = SimJob(
-        _machine(faults=_read_stall(probe), ec_k=4, ec_m=1),
-        ntasks,
-        seed=seed,
+    probe = _fpt(
+        _machine(ec_k=4, ec_m=1, telemetry=False), ntasks, nrec, seed,
+        "/scratch/ec",
     )
-    res_ec = job.run(_fpt_worker, nrec, "/scratch/ec")
+    res_ec = _fpt(
+        _machine(faults=_read_stall(probe), ec_k=4, ec_m=1),
+        ntasks, nrec, seed, "/scratch/ec",
+    )
     ec_findings = []
     for path, f in sorted(res_ec.iosys._files.items()):
         ec_findings.extend(
@@ -287,12 +243,9 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
         misattributed_caught = v.verdict == "CONTRADICTED"
 
     # -- purity: telemetry must not perturb the simulation ------------------
-    job = SimJob(
-        _machine(faults=stall).with_overrides(telemetry=False),
-        ntasks,
-        seed=seed,
+    res_off = _shared(
+        _machine(faults=stall, telemetry=False), ntasks, nrec, seed
     )
-    res_off = job.run(_shared_writer, nrec, "/scratch/tel.dat")
     invariant = trace_digest(res_off.trace) == trace_digest(res_stall.trace)
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from ..apps.harness import SimJob
 from ..iosys.machine import MachineConfig, MiB
-from ..iosys.posix import O_CREAT, O_RDWR
+from ..iosys.scheduler import shared_write
 from .runner import ExperimentResult, format_table
 
 __all__ = ["run", "main", "sweep_counts"]
@@ -29,21 +29,6 @@ def sweep_counts(scale: str = "paper") -> List[int]:
     return [2, 4, 8, 16, 32]
 
 
-def _writer(ctx, nbytes: int, path: str, stripe_count: int):
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, stripe_count)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    yield from ctx.comm.barrier()
-    yield from ctx.io.pwrite(fd, nbytes, ctx.rank * nbytes)
-    yield from ctx.comm.barrier()
-    yield from ctx.io.close(fd)
-    return None
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     # streaming saturation test: the node client pipelines fairly across
     # its tasks (the burst-order discipline applies to discrete large
@@ -55,9 +40,10 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         machine = machine.with_overrides(fs_bw=1.6 * 1024 * MiB)
     rows: List[Dict[str, float]] = []
     for n in sweep_counts(scale):
-        job = SimJob(machine, n, seed=seed, placement="packed")
+        job = SimJob(machine, n, seed=seed)
         result = job.run(
-            _writer, nbytes, f"/scratch/sat{n}.dat", machine.n_osts
+            shared_write, f"/scratch/sat{n}.dat", 1, nbytes, machine.n_osts,
+            fence=True,
         )
         writes = result.trace.writes()
         rate = writes.total_bytes / writes.span if writes.span > 0 else 0.0

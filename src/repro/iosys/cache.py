@@ -7,8 +7,9 @@ Mechanisms modelled (each one is load-bearing for a paper phenomenon):
   This produces the initial ~60 GB/s plateau of Figure 1(b) -- the first
   gigabytes land in page cache, not on disk.
 - **Deferred writeback**: absorbed pages stay *dirty* until a background
-  flush (after ``writeback_delay``) or an explicit sync.  Dirty occupancy is
-  the **memory pressure** signal consumed by the read-ahead engine: in
+  flush (after ``writeback_delay``, which each client takes from
+  ``MachineConfig.writeback_delay``) or an explicit sync.  Dirty occupancy
+  is the **memory pressure** signal consumed by the read-ahead engine: in
   MADbench's interleaved read/write phase the cache is full of write pages
   when the strided reads arrive, which is the trigger for the Lustre bug
   ("Lustre issues one page (4 kB) reads due to a lack of system memory

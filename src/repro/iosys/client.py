@@ -220,7 +220,6 @@ class LustreClient:
         osts: OstPool,
         mds: MetadataServer,
         rng: RngStreams,
-        writeback_delay: float = 30.0,
         tenant: int = 0,
     ):
         self.engine = engine
@@ -240,7 +239,7 @@ class LustreClient:
             quota_per_task=config.dirty_quota,
             tasks_per_node=config.tasks_per_node,
             mem_bw=config.mem_bw,
-            writeback_delay=writeback_delay,
+            writeback_delay=config.writeback_delay,
         )
         self.readahead = ReadAheadEngine(config)
         self.token = Semaphore(

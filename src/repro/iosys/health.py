@@ -89,7 +89,8 @@ class HealthMonitor:
 
     Attached by :class:`~repro.iosys.posix.IoSystem` when
     ``MachineConfig.heal`` is on (requires ``telemetry``); registers
-    itself as the collector's forwarded-hook observer.
+    itself as the collector's forwarded-hook observer until the
+    launcher calls :meth:`detach` at the end of the run.
     """
 
     def __init__(self, engine, config: MachineConfig, osts, mds, collector):
@@ -128,7 +129,17 @@ class HealthMonitor:
             "heal_throttled_ops": 0,
             "heal_deferred_admissions": 0,
         }
+        self._collector = collector
         collector._observer = self
+
+    def detach(self) -> None:
+        """Unhook from the collector and the MDS once the run is over.
+
+        Both point back at the monitor, which holds the engine: left
+        hooked, a finished run is a reference cycle that only a gen-2
+        collection frees.  The ledger and counters stay readable."""
+        self._collector._observer = None
+        self.mds.health = None
 
     # -- exports -----------------------------------------------------------
     def actions(self) -> Tuple[HealAction, ...]:

@@ -10,6 +10,11 @@ model.  Two presets mirror the paper's platforms:
 - :meth:`MachineConfig.jaguar` -- the ORNL XT4 partition (72 OSS x 2 OST =
   144 OSTs), with a patched client and lower service variability.
 
+One value describes the whole machine a job runs on: the job's
+interconnect and the page-cache writeback delay are fields too.
+:meth:`MachineConfig.resilience_testbox` is the small machine the
+resilience experiments share.
+
 All rates are bytes/second and all sizes bytes.  Parameters are calibrated
 so the reproduction matches the paper's *shape* (mode structure, relative
 speedups); they are not claimed to be the machines' exact hardware values.
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from ..mpi.comm import Interconnect
 from .faults import FaultSchedule
 
 __all__ = ["MachineConfig", "KiB", "MiB", "GiB"]
@@ -45,6 +51,11 @@ class MachineConfig:
     dirty_quota: float = 32.0 * MiB
     #: granularity of throttled transfers and background writeback
     io_chunk: int = 16 * MiB
+    #: age (seconds) at which a dirty page-cache extent is flushed by
+    #: background writeback
+    writeback_delay: float = 30.0
+    #: the job's message-passing network (collective and p2p costs)
+    interconnect: Interconnect = Interconnect(latency=5e-6, bandwidth=1.6e9)
 
     # -- file system ----------------------------------------------------------
     #: aggregate file-system bandwidth available to the job (writes)
@@ -247,6 +258,12 @@ class MachineConfig:
             raise ValueError("tasks_per_node must be >= 1")
         if self.stripe_size <= 0 or self.rpc_size <= 0:
             raise ValueError("sizes must be positive")
+        if self.writeback_delay <= 0:
+            raise ValueError("writeback_delay must be positive")
+        if self.interconnect.latency < 0:
+            raise ValueError("interconnect latency must be >= 0")
+        if self.interconnect.bandwidth <= 0:
+            raise ValueError("interconnect bandwidth must be positive")
         if not self.discipline_weights:
             raise ValueError("discipline_weights must be non-empty")
         for slots in self.discipline_weights:
@@ -438,6 +455,24 @@ class MachineConfig:
             strided_readahead=True,
         )
         return cfg.with_overrides(**overrides) if overrides else cfg
+
+    @classmethod
+    def resilience_testbox(cls, **overrides) -> "MachineConfig":
+        """The testbox the resilience studies share: 16 OSTs, a fat file
+        system, 4-wide default stripes, and client retry with timeouts
+        sized to their seconds-scale stall windows."""
+        kwargs = dict(
+            n_osts=16,
+            fs_bw=2048 * MiB,
+            fs_read_bw=2048 * MiB,
+            default_stripe_count=4,
+            client_retry=True,
+            retry_base_timeout=0.05,
+            retry_max_timeout=0.8,
+            failover_probe_interval=0.5,
+        )
+        kwargs.update(overrides)
+        return cls.testbox(**kwargs)
 
     @classmethod
     def shared_testbox(cls, **overrides) -> "MachineConfig":

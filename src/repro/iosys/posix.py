@@ -77,7 +77,6 @@ class IoSystem:
         config: MachineConfig,
         ntasks: int,
         rng: Optional[RngStreams] = None,
-        writeback_delay: float = 30.0,
         placement: str = "packed",
     ):
         if placement not in ("packed", "spread"):
@@ -106,7 +105,6 @@ class IoSystem:
                 engine, config, self.osts, self.mds, self.telemetry
             )
             self.mds.health = self.health
-        self._writeback_delay = writeback_delay
         self._clients: Dict[int, LustreClient] = {}
         self._files: Dict[str, SimFile] = {}
         self._next_file_id = 0
@@ -150,7 +148,6 @@ class IoSystem:
                 self.osts,
                 self.mds,
                 self.rng,
-                writeback_delay=self._writeback_delay,
                 tenant=self._node_tenant.get(node, 0),
             )
             client.health = self.health

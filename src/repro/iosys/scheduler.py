@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..ipm.events import Trace
-from ..mpi.comm import Interconnect
 from ..mpi.runtime import World, check_finished
 from ..sim.engine import Engine, Process
 from ..sim.rng import RngStreams
@@ -58,6 +57,8 @@ __all__ = [
     "JobResult",
     "FacilityResult",
     "WORKLOADS",
+    "shared_write",
+    "fpt_write_read",
 ]
 
 
@@ -72,6 +73,11 @@ __all__ = [
 # O_SYNC: a victim whose writes are half-absorbed by the page cache has a
 # bimodal per-byte distribution *by design*, which would read as a slow
 # cluster even on a healthy facility.
+#
+# ``shared_write`` and ``fpt_write_read`` are the resilience experiments'
+# kernels: buffered, launched through ``SimJob`` with an explicit path,
+# stripe count and record sizes, so one simulation is fully described by
+# its kernel, machine, task count, seed and arguments.
 
 
 def _wl_ior(ctx, nrec: int = 8, rec_mib: float = 1.0):
@@ -152,15 +158,21 @@ def _wl_bandwidth_hog(ctx, nrec: int = 4, rec_mib: float = 2.0):
     return nrec * rec
 
 
-def _wl_checkpoint(ctx, nfiles: int = 24, rec_mib: float = 1.0):
+def _wl_checkpoint(
+    ctx, nfiles: int = 24, rec_mib: float = 1.0,
+    directory: Optional[str] = None,
+):
     """Checkpoint-class victim: open/write/close per snapshot file.  The
     loop gives the victim a large ensemble of *both* namespace ops and
     write-through data ops, so either an MDS storm or a bandwidth hog
-    next door shows up as a slow interval in its own trace."""
+    next door shows up as a slow interval in its own trace.  Files go
+    under ``directory`` (default ``/scratch/<job name>``)."""
     rec = int(rec_mib * MiB)
+    if directory is None:
+        directory = f"/scratch/{ctx.job.name}"
     total = 0
     for i in range(nfiles):
-        path = f"/scratch/{ctx.job.name}/ckpt{ctx.rank}_{i}.dat"
+        path = f"{directory}/ckpt{ctx.rank}_{i}.dat"
         fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY | O_SYNC)
         ctx.io.region("write")
         yield from ctx.io.pwrite(fd, rec, 0)
@@ -179,6 +191,54 @@ def _wl_idle(ctx, nops: int = 4, pause: float = 0.5):
         yield ctx.engine.timeout(pause)
     yield from ctx.io.close(fd)
     return nops * 4096
+
+
+def shared_write(
+    ctx, path: str, nrec: int, rec: int, stripe_count: int,
+    fence: bool = False,
+):
+    """Shared-file (N-1) record writer: rank 0 creates the file striped
+    over ``stripe_count`` OSTs, every rank meets at a barrier, then each
+    writes its own contiguous block of ``nrec`` records of ``rec`` bytes.
+    ``fence`` adds a barrier before and after the writes, so every rank
+    starts and ends its block together (a streaming saturation test)."""
+    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
+        ctx.iosys.set_stripe_count(path, stripe_count)
+        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
+        yield from ctx.comm.barrier()
+    else:
+        yield from ctx.comm.barrier()
+        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
+    if fence:
+        yield from ctx.comm.barrier()
+    base = ctx.rank * nrec * rec
+    for j in range(nrec):
+        yield from ctx.io.pwrite(fd, rec, base + j * rec)
+    if fence:
+        yield from ctx.comm.barrier()
+    yield from ctx.io.close(fd)
+    return None
+
+
+def fpt_write_read(
+    ctx, base: str, nrec: int, wsize: int, rsize: int, stripe_count: int
+):
+    """File-per-task writer/reader: each rank writes ``nrec`` records of
+    ``wsize`` bytes to ``<base>.<rank>`` (striped over ``stripe_count``
+    OSTs), meets the others at a barrier, then reads the same bytes back
+    in records of ``rsize``."""
+    path = f"{base}.{ctx.rank:04d}"
+    ctx.iosys.set_stripe_count(path, stripe_count)
+    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
+    ctx.io.region("write")
+    for j in range(nrec):
+        yield from ctx.io.pwrite(fd, wsize, j * wsize)
+    yield from ctx.comm.barrier()
+    ctx.io.region("read")
+    for j in range(nrec * wsize // rsize):
+        yield from ctx.io.pread(fd, rsize, j * rsize)
+    yield from ctx.io.close(fd)
+    return None
 
 
 #: workload name -> rank function
@@ -532,11 +592,11 @@ class Facility:
                     self.iosys.telemetry.register_tenant(tenant, job.name)
         # one private COMM_WORLD per job, all on the shared engine;
         # building them schedules no event and draws no RNG
-        interconnect = Interconnect(latency=5e-6, bandwidth=1.6e9)
         self._worlds: List[World] = []
         for idx, job in enumerate(jobs):
             world = World(
-                job.ntasks, self.engine, interconnect, name=f"comm_{job.name}"
+                job.ntasks, self.engine, machine.interconnect,
+                name=f"comm_{job.name}",
             )
             world.set_extras_factory(partial(
                 _rank_handles, self.iosys, self._collectors[idx],
@@ -625,6 +685,8 @@ class Facility:
         elapsed = max(jr.t_end for jr in job_results) - start
         if self.engine.sanitize:
             self.engine.assert_race_free()
+        if self.iosys.health is not None:
+            self.iosys.health.detach()
         return FacilityResult(
             machine=self.machine,
             iosys=self.iosys,

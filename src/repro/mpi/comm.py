@@ -36,16 +36,17 @@ def _deliver(ev: Event, value: Any) -> None:
     ev.succeed(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interconnect:
-    """Alpha-beta communication cost model.
+    """Alpha-beta communication cost model (an immutable value).
 
     ``latency`` is the per-hop software+wire latency (seconds); ``bandwidth``
     is the per-link point-to-point bandwidth (bytes/second).  Collectives are
     costed as ``ceil(log2(P))`` latency steps plus the serialized byte time
     of the data each rank contributes, which is the standard tree-algorithm
-    estimate.  A zero-cost interconnect (the default for unit tests) makes
-    collectives pure synchronisation.
+    estimate.  A zero-cost interconnect (a bare ``World``'s default) makes
+    collectives pure synchronisation; simulated jobs take theirs from
+    ``MachineConfig.interconnect``.
     """
 
     latency: float = 0.0

@@ -19,10 +19,10 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
 
-def make_system(ntasks=4, machine=None, **kw):
+def make_system(ntasks=4, machine=None):
     w = World(nranks=ntasks)
     cfg = machine or MachineConfig.testbox()
-    iosys = IoSystem(w.engine, cfg, ntasks=ntasks, rng=RngStreams(0), **kw)
+    iosys = IoSystem(w.engine, cfg, ntasks=ntasks, rng=RngStreams(0))
     return w, iosys
 
 
@@ -205,8 +205,8 @@ class TestPosixDataOps:
         assert buffered < synced
 
     def test_fsync_waits_for_writeback(self):
-        machine = MachineConfig.testbox()
-        w, iosys = make_system(1, machine=machine, writeback_delay=2.0)
+        machine = MachineConfig.testbox(writeback_delay=2.0)
+        w, iosys = make_system(1, machine=machine)
 
         def fn(ctx):
             px = iosys.posix_for(0)

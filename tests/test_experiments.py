@@ -154,9 +154,34 @@ class TestSaturation:
         assert result.verdicts["near_fs_bw"]
 
 
+#: verdicts that do not hold at tiny scale, with the reason; each holds
+#: at small and paper scale
+_FALSE_AT_TINY = {
+    # the tiny franklin read ensemble ramps up progressively instead of
+    # forming a separate slow shoulder, so no shoulder check fires
+    ("fig4", "franklin_reads_have_shoulder"): "no shoulder mode",
+    ("fig4", "slow_reads_in_middle_phase"): "no shoulder mode",
+    ("fig4", "diagnosed_shoulder"): "no shoulder mode",
+    # with 3 group records per task no read is served degraded (0
+    # reconstructions, every scheme's read tail equals plain's)
+    ("erasure", "ec_tail_clipped"): "no degraded read",
+    ("erasure", "ec_matches_mirror_tail"): "no degraded read",
+    ("erasure", "ec_survives_heavy"): "no degraded read",
+    ("erasure", "rebuild_located"): "no degraded read",
+    ("erasure", "diagnosed"): "no degraded read",
+    # the page cache absorbs the tiny shared-file writes, so the stall
+    # window meets no RPC (0 retries, no transient finding) and the slow
+    # OST leaves no client-side trace for the scan to indict
+    ("telemetry", "stall_oracle_confirmed"): "stall meets no RPC",
+    ("telemetry", "misattribution_contradicted"): "stall meets no RPC",
+    ("telemetry", "slow_oracle_confirmed"): "slow OST unseen",
+}
+
+
 class TestTinyScaleSmoke:
-    """Every experiment at least *runs* at tiny scale and produces the
-    structural outputs (series + printable table)."""
+    """Every experiment runs at tiny scale, produces the structural
+    outputs (series + printable table), and keeps every verdict except
+    the ones :data:`_FALSE_AT_TINY` names."""
 
     @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
     def test_runs_and_prints(self, name):
@@ -166,6 +191,10 @@ class TestTinyScaleSmoke:
         assert out.summary and out.verdicts
         text = module.main("tiny")
         assert "verdicts" in text
+        for verdict, held in out.verdicts.items():
+            reason = _FALSE_AT_TINY.get((name, verdict))
+            # a listed verdict that starts to hold leaves the list
+            assert held == (reason is None), (verdict, reason)
 
 
 class TestRunnerHelpers:

@@ -81,12 +81,10 @@ class TestTwoPhaseBehaviour:
         c = cfg()
 
         def run_with(bandwidth):
-            job = SimJob(
-                c.machine,
-                c.writer_count,
-                seed=0,
-                interconnect=Interconnect(latency=1e-6, bandwidth=bandwidth),
+            machine = c.machine.with_overrides(
+                interconnect=Interconnect(latency=1e-6, bandwidth=bandwidth)
             )
+            job = SimJob(machine, c.writer_count, seed=0)
             return job.run(_gcrm_twophase_rank, c).elapsed
 
         fast = run_with(10e9)

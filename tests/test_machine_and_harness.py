@@ -7,9 +7,11 @@ import pytest
 
 from repro.apps.harness import AppResult, SimJob
 from repro.experiments.runner import ExperimentResult, format_table
+from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
 from repro.iosys.machine import GiB, KiB, MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR
 from repro.iosys.scheduler import Facility, TenantJob
+from repro.mpi.comm import Interconnect
 
 
 class TestMachineConfig:
@@ -64,6 +66,20 @@ class TestMachineConfig:
             MachineConfig(ost_slowdown={999: 2.0})
         with pytest.raises(ValueError):
             MachineConfig(ost_slowdown={0: 0.5})
+
+    def test_rejects_negative_interconnect_latency(self):
+        with pytest.raises(ValueError, match="interconnect latency"):
+            MachineConfig(interconnect=Interconnect(latency=-1e-6))
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.6e9])
+    def test_rejects_non_positive_interconnect_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="interconnect bandwidth"):
+            MachineConfig(interconnect=Interconnect(bandwidth=bandwidth))
+
+    @pytest.mark.parametrize("delay", [0.0, -30.0])
+    def test_rejects_non_positive_writeback_delay(self, delay):
+        with pytest.raises(ValueError, match="writeback_delay"):
+            MachineConfig.testbox(writeback_delay=delay)
 
     def test_units(self):
         assert KiB == 1024 and MiB == 1024**2 and GiB == 1024**3
@@ -133,9 +149,10 @@ class TestSimJob:
         assert result.collector.profile.total_events() == 6
 
     def test_finished_jobs_leave_no_cyclic_garbage(self):
-        """A solo job and a two-tenant facility form no reference
-        cycles: once their results are dropped, reference counting alone
-        frees them, so peak memory never waits on a gen-2 collection."""
+        """A solo job, a two-tenant facility and a self-healing job form
+        no reference cycles: once their results are dropped, reference
+        counting alone frees them, so peak memory never waits on a gen-2
+        collection."""
 
         def writer(ctx):
             fd = yield from ctx.io.open(f"/f{ctx.rank}", O_CREAT | O_RDWR)
@@ -162,7 +179,18 @@ class TestSimJob:
             ).run()
             assert len(res.jobs) == 2
 
-        for run in (solo, facility):
+        def healed():
+            # heal on, and a stall it acts on: the monitor hooks into the
+            # telemetry collector and the MDS, and must unhook at the end
+            stall = FaultSchedule.of(FaultWindow(STALL, 0.0, 0.5, device=1))
+            machine = MachineConfig.testbox(
+                replica_count=2, client_retry=True, telemetry=True,
+                heal=True, faults=stall,
+            )
+            res = SimJob(machine, 4, seed=3).run(writer)
+            assert res.meta["heal_quarantines"] > 0
+
+        for run in (solo, facility, healed):
             gc.collect()
             gc.disable()
             try:
