@@ -20,7 +20,7 @@ import time
 
 from repro.apps.harness import SimJob
 from repro.experiments import fig_selfheal
-from repro.iosys.machine import MachineConfig, MiB
+from repro.iosys.machine import MiB
 from repro.iosys.scheduler import shared_write
 
 _REPS = 9
@@ -30,14 +30,8 @@ _NREC = 60
 def _timed_run(heal: bool) -> float:
     """One healthy (fault-free) run: the cost measured is pure monitor
     overhead -- detectors scoring every op with nothing to find."""
-    machine = MachineConfig.testbox(
-        n_osts=16, fs_bw=2048 * MiB
-    ).with_overrides(
-        replica_count=2,
-        client_retry=True,
-        client_failover=True,
-        telemetry=True,
-    )
+    # the experiment's own machine recipe, so the two cannot drift apart
+    machine = fig_selfheal._machine()
     job = SimJob(machine.with_overrides(heal=heal), 16, seed=2)
     gc.collect()  # don't let one arm inherit the other's garbage
     t0 = time.perf_counter()

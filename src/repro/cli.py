@@ -498,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="shard fixed-seed experiment runs across worker processes",
+        help="run fixed-seed experiments with their simulations spread "
+             "over worker processes",
     )
     p.add_argument("args", nargs=argparse.REMAINDER)
     p.set_defaults(fn=_cmd_sweep)

@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import ALL_EXPERIMENTS
-from .runner import SCALES, result_to_dict, save_result
+from .runner import SCALES, result_to_dict, save_payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,12 +79,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if host_seconds is not None and t0 is not None else None
             )
             print(module.main(scale, result=result))
+            payload = result_to_dict(result)
             if args.save:
-                path = save_result(result, args.save)
+                path = save_payload(payload, args.save)
                 print(f"saved: {path}")
             if store is not None and utc_stamp is not None:
                 record = record_from_experiment_dict(
-                    result_to_dict(result),
+                    payload,
                     wall_time=wall,
                     created_at=utc_stamp(),
                 )

@@ -16,11 +16,10 @@ Panels reproduced:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, List
 
-import numpy as np
-
-from ..apps.ior import IorConfig, run_ior
+from ..apps.harness import AppResult, SimSpec
+from ..apps.ior import IorConfig
 from ..ensembles.compare import compare_ensembles
 from ..ensembles.distribution import EmpiricalDistribution
 from ..ensembles.histogram import linear_histogram
@@ -28,60 +27,58 @@ from ..ensembles.modes import detect_modes, harmonics
 from ..ensembles.plots import plot_histogram, plot_rate_curve
 from ..ensembles.timeseries import aggregate_rate, plateaus
 from ..ensembles.tracevis import render, trace_diagram
-from ..iosys.machine import MachineConfig, MiB
-from .runner import ExperimentResult, format_table
+from ..iosys.machine import MiB
+from . import fig2_lln
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["configure", "run", "main"]
+__all__ = ["configure", "plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "fig1_ior_modes"
 
 
 def configure(scale: str = "paper") -> IorConfig:
-    if scale == "paper":
-        ntasks, block = 1024, 512 * MiB
-    elif scale == "small":
-        ntasks, block = 256, 128 * MiB
-    else:  # tiny
-        ntasks, block = 64, 64 * MiB
-    # weak-scale the file system with the job so per-node shares (and
-    # therefore the harmonic mode structure) match the paper-scale runs
-    machine = MachineConfig.franklin()
-    if ntasks != 1024:
-        factor = ntasks / 1024.0
-        machine = machine.with_overrides(
-            fs_bw=machine.fs_bw * factor,
-            fs_read_bw=machine.fs_read_bw * factor,
-            # keep the absorbed fraction of a block constant too
-            dirty_quota=machine.dirty_quota * block / (512 * MiB),
-        )
-    return IorConfig(
-        ntasks=ntasks,
-        block_size=block,
-        transfer_size=block,
-        repetitions=5,
-        stripe_count=48,
-        machine=machine,
-    )
+    """Figure 2's k=1 recipe: one 512 MB transfer per repetition."""
+    return fig2_lln.configure(scale, k=1)
 
 
-def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+def plan(scale: str = "paper", seed: int = 0) -> List[SimSpec]:
     cfg = configure(scale)
     # run 1 = "scratch", run 2 = "scratch2": same experiment, different
     # instance of the stochastic environment
-    res1 = run_ior(cfg, seed=seed)
-    res2 = run_ior(cfg, seed=seed + 1)
+    return [
+        fig2_lln.ior_spec(cfg, seed, "scratch"),
+        fig2_lln.ior_spec(cfg, seed + 1, "scratch2"),
+    ]
 
-    writes1 = res1.trace.writes()
-    writes2 = res2.trace.writes()
-    dist1 = EmpiricalDistribution(writes1.durations)
-    dist2 = EmpiricalDistribution(writes2.durations)
+
+def summarise(spec: SimSpec, res: AppResult) -> Dict[str, Any]:
+    out: Dict[str, Any] = {"durations": res.trace.writes().durations}
+    if spec.label == "scratch":
+        out.update(
+            elapsed=res.elapsed,
+            data_rate=res.meta["data_rate"],
+            rate_curve=aggregate_rate(res.trace, n_bins=300),
+            trace_diagram=trace_diagram(res.trace),
+        )
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    cfg = configure(scale)
+    run1 = summaries["scratch"]
+    durations1 = run1["durations"]
+    durations2 = summaries["scratch2"]["durations"]
+    dist1 = EmpiricalDistribution(durations1)
+    dist2 = EmpiricalDistribution(durations2)
 
     # Scott's-rule KDE over-smooths the harmonic peaks; hunt modes
     # with a narrower kernel (0.15 x sample std)
     modes = detect_modes(dist1, bandwidth=0.15)
     structure = harmonics(modes)
     comparison = compare_ensembles(dist1, dist2)
-    curve = aggregate_rate(res1.trace, n_bins=300)
+    curve = run1["rate_curve"]
     levels = plateaus(curve)
 
     fair_share = cfg.fair_share_rate
@@ -89,8 +86,8 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
     out.summary = {
-        "elapsed_s": res1.elapsed,
-        "data_rate_MBps": res1.meta["data_rate"] / MiB,
+        "elapsed_s": run1["elapsed"],
+        "data_rate_MBps": run1["data_rate"] / MiB,
         "fair_share_MBps": fair_share / MiB,
         "T_fair_s": t_fair,
         "n_modes": float(len(modes)),
@@ -100,14 +97,14 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         "sustained_GBps": curve.sustained() / (1024 * MiB),
     }
     out.series = {
-        "hist_run1": linear_histogram(writes1.durations, bins=50),
-        "hist_run2": linear_histogram(writes2.durations, bins=50),
+        "hist_run1": linear_histogram(durations1, bins=50),
+        "hist_run2": linear_histogram(durations2, bins=50),
         "mode_locations": [m.location for m in modes],
         "mode_weights": [m.weight for m in modes],
         "rate_curve_t": curve.centers,
         "rate_curve_MBps": curve.rate / MiB,
         "plateau_levels_MBps": levels / MiB if len(levels) else levels,
-        "trace_diagram": trace_diagram(res1.trace),
+        "trace_diagram": run1["trace_diagram"],
     }
     out.verdicts = {
         # (c) at least 3 modes, in harmonic (T/k) relation
@@ -128,6 +125,10 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         ),
     }
     return out
+
+
+def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

@@ -19,17 +19,22 @@ against.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, List
 
 import numpy as np
 
+from ..apps.harness import AppResult, SimSpec
 from ..apps.ior import IorConfig, run_ior
 from ..ensembles.distribution import EmpiricalDistribution
 from ..ensembles.lln import narrowing_report, predict_sum
 from ..iosys.machine import MachineConfig, MiB
-from .runner import ExperimentResult, format_table
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["configure", "run", "main"]
+__all__ = [
+    "configure", "ior_spec", "plan", "summarise", "reduce", "run", "main",
+]
 
 EXPERIMENT = "fig2_lln"
 KS = (1, 2, 4, 8)
@@ -63,18 +68,35 @@ def configure(scale: str = "paper", k: int = 1) -> IorConfig:
     )
 
 
-def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+def ior_spec(cfg: IorConfig, seed: int, label: str) -> SimSpec:
+    """One IOR run as a spec; its cost hint is tasks x transfers."""
+    transfers = cfg.repetitions * (cfg.block_size // cfg.transfer_size)
+    return SimSpec(
+        "app", run_ior, cfg, seed, cost=float(cfg.ntasks * transfers),
+        label=label,
+    )
+
+
+def plan(scale: str = "paper", seed: int = 0) -> List[SimSpec]:
+    return [ior_spec(configure(scale, k), seed, f"k={k}") for k in KS]
+
+
+def summarise(spec: SimSpec, res: AppResult) -> Dict[str, Any]:
+    cfg = spec.config
+    writes = res.trace.writes()
+    return {
+        # the t_k ensemble: summed write time per task per repetition
+        "totals": writes.per_rank_totals(cfg.ntasks) / cfg.repetitions,
+        "data_rate": res.meta["data_rate"],
+    }
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
     ensembles: Dict[int, EmpiricalDistribution] = {}
     rates: Dict[int, float] = {}
-    cfg1 = configure(scale, 1)
     for k in KS:
-        cfg = configure(scale, k)
-        res = run_ior(cfg, seed=seed)
-        writes = res.trace.writes()
-        # the t_k ensemble: summed write time per task per repetition
-        totals = writes.per_rank_totals(cfg.ntasks) / cfg.repetitions
-        ensembles[k] = EmpiricalDistribution(totals)
-        rates[k] = res.meta["data_rate"]
+        ensembles[k] = EmpiricalDistribution(summaries[f"k={k}"]["totals"])
+        rates[k] = summaries[f"k={k}"]["data_rate"]
 
     rows = narrowing_report(ensembles)
     for row in rows:
@@ -83,7 +105,6 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     # prediction from the k=1 ensemble of *single-write* durations: the sum
     # of k iid draws of (single transfer at 1/k size ~ duration/k)
     single = ensembles[1]
-    scaled = EmpiricalDistribution(single.samples)  # t_1 itself
     predictions = {
         k: predict_sum(
             EmpiricalDistribution(single.samples / k), k
@@ -122,6 +143,10 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         < 0.25,
     }
     return out
+
+
+def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

@@ -13,11 +13,9 @@ for each platform.  The headline contrasts the reproduction must show:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, List
 
-import numpy as np
-
-from ..apps.harness import AppResult
+from ..apps.harness import AppResult, SimSpec
 from ..apps.madbench import MadbenchConfig, run_madbench
 from ..ensembles.compare import compare_ensembles
 from ..ensembles.diagnose import diagnose
@@ -26,9 +24,14 @@ from ..ensembles.histogram import log_histogram
 from ..ensembles.timeseries import aggregate_rate
 from ..ensembles.tracevis import trace_diagram
 from ..iosys.machine import MachineConfig, MiB
-from .runner import ExperimentResult, format_table
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["configure", "run", "main"]
+__all__ = [
+    "configure", "madbench_spec", "plan", "summarise", "reduce", "run",
+    "main",
+]
 
 EXPERIMENT = "fig4_madbench"
 
@@ -74,11 +77,50 @@ def _panel(res: AppResult) -> Dict:
     }
 
 
-def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    f_res = run_madbench(configure(scale, "franklin"), seed=seed)
-    j_res = run_madbench(configure(scale, "jaguar"), seed=seed)
-    f = _panel(f_res)
-    j = _panel(j_res)
+def madbench_spec(cfg: MadbenchConfig, seed: int, label: str) -> SimSpec:
+    """One MADbench run as a spec; its cost hint is tasks x matrix
+    transfers (each matrix is written once and read once)."""
+    return SimSpec(
+        "app", run_madbench, cfg, seed,
+        cost=float(cfg.ntasks * 2 * cfg.n_matrices), label=label,
+    )
+
+
+def plan(scale: str = "paper", seed: int = 0) -> List[SimSpec]:
+    return [
+        madbench_spec(configure(scale, platform), seed, platform)
+        for platform in ("franklin", "jaguar")
+    ]
+
+
+def summarise(spec: SimSpec, res: AppResult) -> Dict[str, Any]:
+    panel = _panel(res)
+    out: Dict[str, Any] = {
+        "panel": panel,
+        "elapsed": res.elapsed,
+        "degraded_reads": res.meta["degraded_reads"],
+    }
+    if spec.label == "franklin":
+        out["findings"] = diagnose(
+            res.trace,
+            nranks=res.ntasks,
+            stripe_size=res.machine.stripe_size,
+        )
+        # the phases holding the slow reads (3x the median)
+        slow_threshold = 3.0 * panel["reads"].median
+        reads = res.trace.filter(ops=("read", "pread"))
+        out["slow_phases"] = set(
+            p
+            for p, d in zip(reads.phases, reads.durations)
+            if d > slow_threshold
+        )
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    f_sum, j_sum = summaries["franklin"], summaries["jaguar"]
+    f, j = f_sum["panel"], j_sum["panel"]
+    f_elapsed, j_elapsed = f_sum["elapsed"], j_sum["elapsed"]
 
     # the paper's claim is that the write *shapes* are similar (the two
     # machines' absolute rates differ); compare scale-normalised ensembles
@@ -86,35 +128,23 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         EmpiricalDistribution(f["writes"].samples / f["writes"].median),
         EmpiricalDistribution(j["writes"].samples / j["writes"].median),
     )
-    findings = diagnose(
-        f_res.trace,
-        nranks=f_res.ntasks,
-        stripe_size=f_res.machine.stripe_size,
-    )
+    findings = f_sum["findings"]
     codes = {x.code for x in findings}
 
     # slow reads confined to the middle-phase reads 4..8
-    slow_threshold = 3.0 * f["reads"].median
-    w_late = f_res.trace.filter(
-        ops=("read", "pread"),
-    )
-    slow_phases = set(
-        p
-        for p, d in zip(w_late.phases, w_late.durations)
-        if d > slow_threshold
-    )
+    slow_phases = f_sum["slow_phases"]
     late_read_phases = {f"W_read{i}" for i in range(4, 9)}
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
     out.summary = {
-        "franklin_s": f_res.elapsed,
-        "jaguar_s": j_res.elapsed,
-        "franklin_over_jaguar": f_res.elapsed / j_res.elapsed,
+        "franklin_s": f_elapsed,
+        "jaguar_s": j_elapsed,
+        "franklin_over_jaguar": f_elapsed / j_elapsed,
         "franklin_read_p50": f["reads"].median,
         "franklin_read_max": f["reads"].moments().max,
         "jaguar_read_max": j["reads"].moments().max,
-        "franklin_degraded_reads": float(f_res.meta["degraded_reads"]),
-        "jaguar_degraded_reads": float(j_res.meta["degraded_reads"]),
+        "franklin_degraded_reads": float(f_sum["degraded_reads"]),
+        "jaguar_degraded_reads": float(j_sum["degraded_reads"]),
     }
     out.series = {"franklin": f, "jaguar": j, "findings": findings}
     mostly_late = (
@@ -123,7 +153,7 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         else False
     )
     out.verdicts = {
-        "franklin_much_slower": f_res.elapsed > 2.5 * j_res.elapsed,
+        "franklin_much_slower": f_elapsed > 2.5 * j_elapsed,
         "write_hists_similar": write_cmp.ks_statistic < 0.35,
         "franklin_reads_have_shoulder": f["reads"].tail_weight(0.9) > 4.0,
         "jaguar_reads_modest": j["reads"].tail_weight(0.9) < 4.0,
@@ -131,6 +161,10 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         "diagnosed_shoulder": "broad-right-shoulder" in codes,
     }
     return out
+
+
+def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

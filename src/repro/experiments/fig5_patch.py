@@ -15,58 +15,81 @@ the real fix did.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+from typing import Any, Dict, List
 
-from ..apps.madbench import run_madbench
+from ..apps.harness import AppResult, SimSpec
 from ..ensembles.distribution import EmpiricalDistribution
 from ..ensembles.histogram import log_histogram
 from ..ensembles.plots import plot_cdfs, plot_histogram
 from ..ensembles.progress import deterioration_trend, phase_progress
 from ..ensembles.tracevis import trace_diagram
-from ..iosys.machine import MachineConfig
 from .fig4_madbench import configure as fig4_configure
-from .runner import ExperimentResult, format_table
+from .fig4_madbench import madbench_spec
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "fig5_patch"
 READ_PHASES = tuple(f"W_read{i}" for i in range(4, 9))
 
 
-def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+def plan(scale: str = "paper", seed: int = 0) -> List[SimSpec]:
     before_cfg = fig4_configure(scale, "franklin")
-    after_cfg = fig4_configure(scale, "franklin")
-    after_cfg.machine = after_cfg.machine.with_overrides(
-        strided_readahead=False
+    after_cfg = replace(
+        before_cfg,
+        machine=before_cfg.machine.with_overrides(strided_readahead=False),
     )
-    before = run_madbench(before_cfg, seed=seed)
-    after = run_madbench(after_cfg, seed=seed)
+    return [
+        madbench_spec(before_cfg, seed, "before"),
+        madbench_spec(after_cfg, seed, "after"),
+    ]
 
-    # (a) progress curves for reads 4..8 before the patch
-    curves = phase_progress(before.trace, READ_PHASES)
-    ordered = [curves[p] for p in READ_PHASES if p in curves]
+
+def summarise(spec: SimSpec, res: AppResult) -> Dict[str, Any]:
+    out: Dict[str, Any] = {
+        "elapsed": res.elapsed,
+        "degraded_reads": res.meta["degraded_reads"],
+        "reads": res.trace.reads().durations,
+    }
+    if spec.label == "before":
+        # (a) progress curves for reads 4..8 before the patch
+        curves = phase_progress(res.trace, READ_PHASES)
+        out["progress_curves"] = [
+            curves[p] for p in READ_PHASES if p in curves
+        ]
+    else:
+        out["trace_diagram"] = trace_diagram(res.trace)
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    before, after = summaries["before"], summaries["after"]
+    ordered = before["progress_curves"]
     t90, monotonicity = deterioration_trend(ordered, quantile=0.9)
 
-    reads_before = before.trace.reads().durations
-    reads_after = after.trace.reads().durations
+    reads_before = before["reads"]
+    reads_after = after["reads"]
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
     out.summary = {
-        "before_s": before.elapsed,
-        "after_s": after.elapsed,
-        "speedup": before.elapsed / after.elapsed,
+        "before_s": before["elapsed"],
+        "after_s": after["elapsed"],
+        "speedup": before["elapsed"] / after["elapsed"],
         "deterioration_monotonicity": monotonicity,
         "read_max_before": float(reads_before.max()),
         "read_max_after": float(reads_after.max()),
-        "degraded_before": float(before.meta["degraded_reads"]),
-        "degraded_after": float(after.meta["degraded_reads"]),
+        "degraded_before": float(before["degraded_reads"]),
+        "degraded_after": float(after["degraded_reads"]),
     }
     out.series = {
         "progress_curves": ordered,
         "t90_per_phase": t90,
         "hist_before": log_histogram(reads_before, bins_per_decade=8),
         "hist_after": log_histogram(reads_after, bins_per_decade=8),
-        "trace_after": trace_diagram(after.trace),
+        "trace_after": after["trace_diagram"],
     }
     dist_after = EmpiricalDistribution(reads_after)
     out.verdicts = {
@@ -77,12 +100,16 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         # (b) the patch removes the catastrophic tail
         "tail_removed": float(reads_after.max())
         < 0.25 * float(reads_before.max()),
-        "no_degraded_after": after.meta["degraded_reads"] == 0,
+        "no_degraded_after": after["degraded_reads"] == 0,
         # (c) >= 3x run-time improvement (paper: 4.2x)
-        "large_speedup": before.elapsed / after.elapsed > 3.0,
+        "large_speedup": before["elapsed"] / after["elapsed"] > 3.0,
         "after_reads_modest": dist_after.tail_weight(0.9) < 4.0,
     }
     return out
+
+
+def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

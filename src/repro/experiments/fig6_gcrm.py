@@ -19,20 +19,25 @@ records) and metadata (<3 KB) distributions, exactly as in the figure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
 from ..apps.gcrm import GcrmConfig, run_gcrm
-from ..apps.harness import AppResult
+from ..apps.harness import AppResult, SimSpec
 from ..ensembles.diagnose import diagnose
 from ..ensembles.histogram import rate_histogram
 from ..ensembles.timeseries import aggregate_rate
 from ..ensembles.tracevis import trace_diagram
 from ..iosys.machine import MachineConfig, MiB
-from .runner import ExperimentResult, format_table
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["configure", "run", "main", "CONFIG_LABELS"]
+__all__ = [
+    "configure", "plan", "summarise", "reduce", "run", "main",
+    "CONFIG_LABELS",
+]
 
 EXPERIMENT = "fig6_gcrm"
 CONFIG_LABELS = ("baseline", "cb", "cb+align", "cb+align+meta")
@@ -94,25 +99,40 @@ def _panel(res: AppResult, cfg: GcrmConfig) -> Dict:
     }
 
 
-def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    panels: Dict[str, Dict] = {}
-    results: Dict[str, AppResult] = {}
+def plan(scale: str = "paper", seed: int = 0) -> List[SimSpec]:
+    specs = []
     for label in CONFIG_LABELS:
         cfg = configure(scale, label)
-        res = run_gcrm(cfg, seed=seed)
-        results[label] = res
-        panels[label] = _panel(res, cfg)
+        # cost hint: every task's records, whoever ends up writing them
+        records = cfg.total_bytes // cfg.record_bytes
+        specs.append(
+            SimSpec("app", run_gcrm, cfg, seed, cost=float(records),
+                    label=label)
+        )
+    return specs
 
+
+def summarise(spec: SimSpec, res: AppResult) -> Dict[str, Any]:
+    cfg = spec.config
+    out: Dict[str, Any] = {"panel": _panel(res, cfg)}
+    if spec.label == "baseline":
+        # the diagnosis engine's view of the baseline's root causes
+        out["findings"] = diagnose(
+            res.trace,
+            nranks=res.ntasks,
+            fair_share_rate=cfg.fair_share_rate * cfg.records_multiplier,
+            stripe_size=cfg.machine.stripe_size,
+        )
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    panels = {k: summaries[k]["panel"] for k in CONFIG_LABELS}
     base_cfg = configure(scale, "baseline")
     fair = base_cfg.fair_share_rate
     elapsed = {k: panels[k]["elapsed"] for k in CONFIG_LABELS}
 
-    findings = diagnose(
-        results["baseline"].trace,
-        nranks=results["baseline"].ntasks,
-        fair_share_rate=fair * base_cfg.records_multiplier,
-        stripe_size=base_cfg.machine.stripe_size,
-    )
+    findings = summaries["baseline"]["findings"]
     codes = {f.code for f in findings}
 
     base_rates = panels["baseline"]["per_task_rates"]
@@ -159,6 +179,10 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         "diagnosed_unaligned": "unaligned-io" in codes,
     }
     return out
+
+
+def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

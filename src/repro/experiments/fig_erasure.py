@@ -36,24 +36,27 @@ runs reconstruct nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..apps.harness import SimJob
+from ..apps.harness import SimSpec
 from ..ensembles.diagnose import diagnose
 from ..ensembles.locate import find_rebuild_pressure
-from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.scheduler import fpt_write_read
-from .fig_failover import _locate, _read_totals, _stall_window
-from .runner import ExperimentResult, format_table
+from .fig_failover import (
+    _SEVERITIES, _locate, _read_totals, _stall_window, _stalled,
+)
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "erasure"
 
-_N_OSTS = 16
 _STRIPES = 4
 _SICK = 5
 _SUB = 1 * MiB           # read-back granularity: one stripe
@@ -78,19 +81,14 @@ def _params(scale: str):
     return 16, 3
 
 
-def _run(scheme: str, ntasks, nrec, seed, faults=None):
+def _machine(scheme: str) -> MachineConfig:
     replicas, ec = _SCHEMES[scheme]
-    machine = MachineConfig.resilience_testbox(
+    return MachineConfig.resilience_testbox(
         # a fat client pipe: the degraded read's k-fold survivor haul must
         # cost wire time proportional to the code, not dominate the tail
         client_bw=800 * MiB,
         replica_count=replicas,
-        faults=faults,
         **({"ec_k": ec[0], "ec_m": ec[1]} if ec else {}),
-    )
-    job = SimJob(machine, ntasks, seed=seed)
-    return job.run(
-        fpt_write_read, "/scratch/ec", nrec, _GROUP, _SUB, _STRIPES
     )
 
 
@@ -101,78 +99,102 @@ def _redundant_ratio(res, payload: int) -> float:
     return (written - payload) / payload if payload else 0.0
 
 
-def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
+def plan(scale: str = "paper", seed: int = 3) -> List[SimSpec]:
     ntasks, nrec = _params(scale)
-    payload = ntasks * nrec * _GROUP
-    heavy_second = (_SICK + _N_OSTS // 2) % _N_OSTS
 
-    healthy = {s: _run(s, ntasks, nrec, seed) for s in _SCHEMES}
-    healthy_median = {
-        s: float(np.median(_read_totals(r))) for s, r in healthy.items()
-    }
-    redundancy = {
-        s: _redundant_ratio(healthy[s], payload) for s in _SCHEMES
-    }
+    def spec(label, scheme, devices=None):
+        bound = {} if devices is None else dict(
+            needs=(f"healthy {scheme}",), bind=partial(_stalled, devices)
+        )
+        return SimSpec(
+            "job", fpt_write_read, _machine(scheme), seed,
+            cost=float(ntasks * nrec * (1 + _GROUP // _SUB)), ntasks=ntasks,
+            args=("/scratch/ec", nrec, _GROUP, _SUB, _STRIPES),
+            label=label, **bound,
+        )
 
-    severities = {
-        "light": (_SICK,),
-        "heavy": (_SICK, heavy_second),
-    }
-    rows: List[Dict[str, object]] = []
-    tails: Dict[str, Dict[str, float]] = {}
-    medians: Dict[str, Dict[str, float]] = {}
-    faulted = {}
-    for sev, devices in severities.items():
-        tails[sev] = {}
-        medians[sev] = {}
-        for s in _SCHEMES:
-            w0, w1 = _stall_window(healthy[s])
-            sched = FaultSchedule.of(
-                *[FaultWindow(STALL, w0, w1, device=d) for d in devices]
-            )
-            res = _run(s, ntasks, nrec, seed, faults=sched)
-            faulted[(sev, s)] = res
-            totals = _read_totals(res)
-            tails[sev][s] = float(totals.max())
-            medians[sev][s] = float(np.median(totals))
-            rows.append(
-                {
-                    "run": f"{sev} {s}",
-                    "elapsed_s": res.elapsed,
-                    "read_tail_s": tails[sev][s],
-                    "read_median_s": medians[sev][s],
-                    "redundant_x": redundancy[s],
-                    "retries": float(res.meta["retries"]),
-                    "reconstructions": float(res.meta["reconstructions"]),
-                }
-            )
+    specs = [spec(f"healthy {s}", s) for s in _SCHEMES]
+    for sev, devices in _SEVERITIES.items():
+        specs += [spec(f"{sev} {s}", s, devices) for s in _SCHEMES]
+    return specs
 
-    # name the lost device from the light ec4+1 trace alone
-    light_ec = faulted[("light", "ec4+1")]
-    located = _locate(light_ec, find_rebuild_pressure)
-    located_ost = max(located, key=located.get) if located else -1
-    sick_paths = [
-        p
-        for p, f in sorted(light_ec.iosys._files.items())
-        if _SICK in f.layout.bytes_per_ost(0, _GROUP)
-    ]
-    ec_findings = []
-    if sick_paths:
-        sick_file = light_ec.iosys.lookup(sick_paths[0])
-        ec_findings = [
-            f
-            for f in diagnose(
-                light_ec.trace.filter(path=sick_paths[0]),
-                nranks=ntasks,
-                layout=sick_file.erasure,
-            )
-            if f.code == "ec-degraded"
+
+def summarise(spec: SimSpec, res) -> Dict[str, Any]:
+    totals = _read_totals(res)
+    out: Dict[str, Any] = {
+        "elapsed": res.elapsed,
+        "tail": float(totals.max()),
+        "median": float(np.median(totals)),
+        "retries": res.meta["retries"],
+        "reconstructions": res.meta["reconstructions"],
+        "total_bytes": res.total_bytes,
+    }
+    if spec.label.startswith("healthy"):
+        _, nrec, group, _, _ = spec.args
+        out["stall_window"] = _stall_window(res)
+        out["redundancy"] = _redundant_ratio(res, spec.ntasks * nrec * group)
+        if spec.label == "healthy ec4+1":
+            out["ec_findings"] = [
+                f
+                for f in diagnose(res.trace, nranks=spec.ntasks)
+                if f.code == "ec-degraded"
+            ]
+    elif spec.label == "light ec4+1":
+        # name the lost device from the light ec4+1 trace alone
+        out["located"] = _locate(res, find_rebuild_pressure)
+        sick_paths = [
+            p
+            for p, f in sorted(res.iosys._files.items())
+            if _SICK in f.layout.bytes_per_ost(0, _GROUP)
         ]
-    healthy_findings = [
-        f
-        for f in diagnose(healthy["ec4+1"].trace, nranks=ntasks)
-        if f.code == "ec-degraded"
+        out["ec_findings"] = []
+        if sick_paths:
+            sick_file = res.iosys.lookup(sick_paths[0])
+            out["ec_findings"] = [
+                f
+                for f in diagnose(
+                    res.trace.filter(path=sick_paths[0]),
+                    nranks=spec.ntasks,
+                    layout=sick_file.erasure,
+                )
+                if f.code == "ec-degraded"
+            ]
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    heavy_second = _SEVERITIES["heavy"][1]
+    healthy = {s: summaries[f"healthy {s}"] for s in _SCHEMES}
+    healthy_median = {s: r["median"] for s, r in healthy.items()}
+    redundancy = {s: r["redundancy"] for s, r in healthy.items()}
+
+    tails = {
+        sev: {s: summaries[f"{sev} {s}"]["tail"] for s in _SCHEMES}
+        for sev in _SEVERITIES
+    }
+    medians = {
+        sev: {s: summaries[f"{sev} {s}"]["median"] for s in _SCHEMES}
+        for sev in _SEVERITIES
+    }
+    rows: List[Dict[str, object]] = [
+        {
+            "run": label,
+            "elapsed_s": res["elapsed"],
+            "read_tail_s": res["tail"],
+            "read_median_s": res["median"],
+            "redundant_x": redundancy[label.split(" ", 1)[1]],
+            "retries": float(res["retries"]),
+            "reconstructions": float(res["reconstructions"]),
+        }
+        for label, res in summaries.items()
+        if not label.startswith("healthy")
     ]
+
+    light_ec = summaries["light ec4+1"]
+    located = light_ec["located"]
+    located_ost = max(located, key=located.get) if located else -1
+    ec_findings = light_ec["ec_findings"]
+    healthy_findings = healthy["ec4+1"]["ec_findings"]
 
     # the headline comparison: the tail time each scheme claws back from
     # the unprotected run, and what it pays in redundant write bytes
@@ -230,17 +252,11 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
             ec_findings and ec_findings[0].evidence["device"] == _SICK
         ),
         "healthy_clean": bool(
-            all(r.meta["reconstructions"] == 0 for r in healthy.values())
+            all(r["reconstructions"] == 0 for r in healthy.values())
             and not healthy_findings
         ),
         "bytes_conserved": bool(
-            len(
-                {
-                    r.total_bytes
-                    for r in [*healthy.values(), *faulted.values()]
-                }
-            )
-            == 1
+            len({r["total_bytes"] for r in summaries.values()}) == 1
         ),
     }
     out.notes.append(
@@ -251,6 +267,10 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
         f"at half the 3-way mirror's redundancy"
     )
     return out
+
+
+def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

@@ -28,19 +28,23 @@ device from the trace alone.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import replace
+from functools import partial
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..apps.harness import SimJob
+from ..apps.harness import SimSpec
 from ..ensembles.diagnose import diagnose
 from ..ensembles.locate import find_masked_faults
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.scheduler import fpt_write_read
-from .runner import ExperimentResult, format_table
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "failover"
 
@@ -49,6 +53,12 @@ _STRIPES = 4
 _SICK = 5
 _RECORD = 1 * MiB
 _REPLICAS = (1, 2, 3)
+#: stalled devices per severity; heavy's second device is half the pool
+#: away -- exactly the 2-copy placement shift
+_SEVERITIES: Dict[str, Tuple[int, ...]] = {
+    "light": (_SICK,),
+    "heavy": (_SICK, (_SICK + _N_OSTS // 2) % _N_OSTS),
+}
 
 
 def _params(scale: str):
@@ -57,16 +67,6 @@ def _params(scale: str):
     if scale == "small":
         return 16, 48
     return 16, 12
-
-
-def _run(k, ntasks, nrec, seed, faults=None, failover=True):
-    machine = MachineConfig.resilience_testbox(
-        replica_count=k, client_failover=failover, faults=faults
-    )
-    job = SimJob(machine, ntasks, seed=seed)
-    return job.run(
-        fpt_write_read, "/scratch/mirror", nrec, _RECORD, _RECORD, _STRIPES
-    )
 
 
 def _read_totals(res) -> np.ndarray:
@@ -99,85 +99,112 @@ def _locate(res, finder) -> Dict[int, int]:
     return events
 
 
-def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
+def _stalled(devices: Tuple[int, ...], spec: SimSpec,
+             healthy: Dict[str, Any]) -> SimSpec:
+    """Stall ``devices`` over the healthy twin's read-phase window."""
+    w0, w1 = healthy["stall_window"]
+    sched = FaultSchedule.of(
+        *[FaultWindow(STALL, w0, w1, device=d) for d in devices]
+    )
+    return replace(spec, config=spec.config.with_overrides(faults=sched))
+
+
+def plan(scale: str = "paper", seed: int = 3) -> List[SimSpec]:
     ntasks, nrec = _params(scale)
-    heavy_second = (_SICK + _N_OSTS // 2) % _N_OSTS
 
-    healthy = {k: _run(k, ntasks, nrec, seed) for k in _REPLICAS}
-    healthy_median = {
-        k: float(np.median(_read_totals(r))) for k, r in healthy.items()
-    }
+    def spec(label, k, failover=True, devices=None):
+        machine = MachineConfig.resilience_testbox(
+            replica_count=k, client_failover=failover
+        )
+        bound = {} if devices is None else dict(
+            needs=(f"healthy k={k}",), bind=partial(_stalled, devices)
+        )
+        return SimSpec(
+            "job", fpt_write_read, machine, seed,
+            cost=float(ntasks * nrec * 2), ntasks=ntasks,
+            args=("/scratch/mirror", nrec, _RECORD, _RECORD, _STRIPES),
+            label=label, **bound,
+        )
 
-    severities = {
-        "light": (_SICK,),
-        "heavy": (_SICK, heavy_second),
-    }
-    rows: List[Dict[str, object]] = []
-    tails: Dict[str, Dict[int, float]] = {}
-    medians: Dict[str, Dict[int, float]] = {}
-    faulted = {}
-    for sev, devices in severities.items():
-        tails[sev] = {}
-        medians[sev] = {}
-        for k in _REPLICAS:
-            w0, w1 = _stall_window(healthy[k])
-            sched = FaultSchedule.of(
-                *[FaultWindow(STALL, w0, w1, device=d) for d in devices]
-            )
-            res = _run(k, ntasks, nrec, seed, faults=sched)
-            faulted[(sev, k)] = res
-            totals = _read_totals(res)
-            tails[sev][k] = float(totals.max())
-            medians[sev][k] = float(np.median(totals))
-            rows.append(
-                {
-                    "run": f"{sev} k={k}",
-                    "elapsed_s": res.elapsed,
-                    "read_tail_s": tails[sev][k],
-                    "read_median_s": medians[sev][k],
-                    "retries": float(res.meta["retries"]),
-                    "failovers": float(res.meta["failovers"]),
-                }
-            )
-
+    specs = [spec(f"healthy k={k}", k) for k in _REPLICAS]
+    for sev, devices in _SEVERITIES.items():
+        specs += [spec(f"{sev} k={k}", k, devices=devices) for k in _REPLICAS]
     # the PR-1 comparator: same mirrors, same stall, but the client rides
     # the stall out against the primary instead of failing over
-    w0, w1 = _stall_window(healthy[2])
-    light_sched = FaultSchedule.of(FaultWindow(STALL, w0, w1, device=_SICK))
-    inplace = _run(2, ntasks, nrec, seed, faults=light_sched, failover=False)
-    inplace_tail = float(_read_totals(inplace).max())
-    rows.append(
-        {
-            "run": "light k=2 ride-out",
-            "elapsed_s": inplace.elapsed,
-            "read_tail_s": inplace_tail,
-            "read_median_s": float(np.median(_read_totals(inplace))),
-            "retries": float(inplace.meta["retries"]),
-            "failovers": float(inplace.meta["failovers"]),
-        }
+    specs.append(
+        spec("light k=2 ride-out", 2, failover=False, devices=(_SICK,))
     )
+    return specs
 
-    # name the sick device from the k=2 light trace alone
-    light2 = faulted[("light", 2)]
-    located = _locate(light2, find_masked_faults)
-    located_ost = max(located, key=located.get) if located else -1
-    sick_paths = [
-        p
-        for p, f in sorted(light2.iosys._files.items())
-        if _SICK in f.layout.bytes_per_ost(0, _STRIPES * _RECORD)
-    ]
-    mask_findings = []
-    if sick_paths:
-        sick_file = light2.iosys.lookup(sick_paths[0])
-        mask_findings = [
-            f
-            for f in diagnose(
-                light2.trace.filter(path=sick_paths[0]),
-                nranks=ntasks,
-                layout=sick_file.layout,
-            )
-            if f.code == "failover-masked-fault"
+
+def summarise(spec: SimSpec, res) -> Dict[str, Any]:
+    totals = _read_totals(res)
+    out: Dict[str, Any] = {
+        "elapsed": res.elapsed,
+        "tail": float(totals.max()),
+        "median": float(np.median(totals)),
+        "retries": res.meta["retries"],
+        "failovers": res.meta["failovers"],
+        "total_bytes": res.total_bytes,
+    }
+    if spec.label.startswith("healthy"):
+        out["stall_window"] = _stall_window(res)
+    elif spec.label == "light k=2":
+        # name the sick device from the k=2 light trace alone
+        out["located"] = _locate(res, find_masked_faults)
+        sick_paths = [
+            p
+            for p, f in sorted(res.iosys._files.items())
+            if _SICK in f.layout.bytes_per_ost(0, _STRIPES * _RECORD)
         ]
+        out["mask_findings"] = []
+        if sick_paths:
+            sick_file = res.iosys.lookup(sick_paths[0])
+            out["mask_findings"] = [
+                f
+                for f in diagnose(
+                    res.trace.filter(path=sick_paths[0]),
+                    nranks=res.ntasks,
+                    layout=sick_file.layout,
+                )
+                if f.code == "failover-masked-fault"
+            ]
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    heavy_second = _SEVERITIES["heavy"][1]
+    healthy = {k: summaries[f"healthy k={k}"] for k in _REPLICAS}
+    healthy_median = {k: s["median"] for k, s in healthy.items()}
+
+    tails = {
+        sev: {k: summaries[f"{sev} k={k}"]["tail"] for k in _REPLICAS}
+        for sev in _SEVERITIES
+    }
+    medians = {
+        sev: {k: summaries[f"{sev} k={k}"]["median"] for k in _REPLICAS}
+        for sev in _SEVERITIES
+    }
+    rows: List[Dict[str, object]] = []
+    for label, res in summaries.items():
+        if label.startswith("healthy"):
+            continue
+        rows.append(
+            {
+                "run": label,
+                "elapsed_s": res["elapsed"],
+                "read_tail_s": res["tail"],
+                "read_median_s": res["median"],
+                "retries": float(res["retries"]),
+                "failovers": float(res["failovers"]),
+            }
+        )
+    inplace_tail = summaries["light k=2 ride-out"]["tail"]
+
+    light2 = summaries["light k=2"]
+    located = light2["located"]
+    located_ost = max(located, key=located.get) if located else -1
+    mask_findings = light2["mask_findings"]
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
     out.summary = {
@@ -204,7 +231,7 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
     # median task never sees the fault at all
     flat = all(
         medians[sev][k] <= 1.15 * medians[sev][1]
-        for sev in severities
+        for sev in _SEVERITIES
         for k in _REPLICAS
     ) and all(
         abs(medians["light"][k] - healthy_median[k])
@@ -230,16 +257,10 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
             and mask_findings[0].evidence["device"] == _SICK
         ),
         "bytes_conserved": bool(
-            len(
-                {
-                    r.total_bytes
-                    for r in [*healthy.values(), *faulted.values(), inplace]
-                }
-            )
-            == 1
+            len({r["total_bytes"] for r in summaries.values()}) == 1
         ),
         "healthy_clean": bool(
-            all(r.meta["failovers"] == 0 for r in healthy.values())
+            all(r["failovers"] == 0 for r in healthy.values())
         ),
     }
     out.notes.append(
@@ -248,6 +269,10 @@ def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
         f"(the second device is the 2-copy shift away)"
     )
     return out
+
+
+def run(scale: str = "paper", seed: int = 3) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

@@ -21,17 +21,20 @@ clean.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import replace
+from typing import Any, Dict, List, Tuple
 
-from ..apps.harness import SimJob
+from ..apps.harness import AppResult, SimSpec
 from ..ensembles.diagnose import diagnose
 from ..ensembles.locate import find_transient_faults
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.scheduler import shared_write
-from .runner import ExperimentResult, format_table
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "faults"
 
@@ -47,62 +50,81 @@ def _params(scale: str):
     return 8, 60
 
 
-def _run_once(machine, ntasks, nrec, seed, path):
-    job = SimJob(machine, ntasks, seed=seed)
-    result = job.run(shared_write, path, nrec, _RECORD, machine.n_osts)
-    layout = job.iosys.lookup(path).layout
-    return result, layout
-
-
-def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
-    ntasks, nrec = _params(scale)
-    machine = MachineConfig.testbox(
+def _machine() -> MachineConfig:
+    return MachineConfig.testbox(
         n_osts=16, fs_bw=2048 * MiB, discipline_weights={4: 1.0}
     )
 
-    healthy, layout = _run_once(machine, ntasks, nrec, seed, "/scratch/h.dat")
 
-    # schedule the stall inside the run: it starts once the job is well
-    # under way and lasts about a quarter of the healthy wallclock
-    t0 = 0.15 * healthy.elapsed
-    t1 = 0.40 * healthy.elapsed
+def _stall_window(healthy: Dict[str, Any]) -> Tuple[float, float]:
+    """The stall starts once the job is well under way and lasts about a
+    quarter of the healthy wallclock."""
+    return 0.15 * healthy["elapsed"], 0.40 * healthy["elapsed"]
+
+
+def _with_stall(spec: SimSpec, healthy: Dict[str, Any]) -> SimSpec:
+    t0, t1 = _stall_window(healthy)
     sched = FaultSchedule.of(FaultWindow(STALL, t0, t1, device=_SICK_OST))
+    return replace(spec, config=spec.config.with_overrides(faults=sched))
 
-    stalled, _ = _run_once(
-        machine.with_overrides(faults=sched, client_retry=False),
-        ntasks, nrec, seed, "/scratch/s.dat",
-    )
-    retried, _ = _run_once(
-        machine.with_overrides(faults=sched, client_retry=True),
-        ntasks, nrec, seed, "/scratch/r.dat",
-    )
 
-    suspects = find_transient_faults(retried.trace, layout)
-    top = suspects[0] if suspects else None
-    findings = diagnose(retried.trace, nranks=ntasks, layout=layout)
-    fault_findings = [f for f in findings if f.code == "transient-fault"]
-    healthy_findings = [
-        f
-        for f in diagnose(healthy.trace, nranks=ntasks, layout=layout)
-        if f.code == "transient-fault"
+def plan(scale: str = "paper", seed: int = 2) -> List[SimSpec]:
+    ntasks, nrec = _params(scale)
+    machine = _machine()
+
+    def spec(label, machine, path, **bound):
+        return SimSpec(
+            "job", shared_write, machine, seed, cost=float(ntasks * nrec),
+            ntasks=ntasks, args=(path, nrec, _RECORD, machine.n_osts),
+            label=label, **bound,
+        )
+
+    stalled = dict(needs=("healthy",), bind=_with_stall)
+    return [
+        spec("healthy", machine, "/scratch/h.dat"),
+        spec("stall", machine.with_overrides(client_retry=False),
+             "/scratch/s.dat", **stalled),
+        spec("stall+retry", machine.with_overrides(client_retry=True),
+             "/scratch/r.dat", **stalled),
     ]
 
-    rows: List[Dict[str, float]] = [
+
+def summarise(spec: SimSpec, res: AppResult) -> Dict[str, Any]:
+    out: Dict[str, Any] = {
+        "elapsed": res.elapsed,
+        "retries": res.meta["retries"],
+        "total_bytes": res.total_bytes,
+    }
+    if spec.label != "stall":
+        layout = res.iosys.lookup(spec.args[0]).layout
+        out["transient"] = [
+            f
+            for f in diagnose(res.trace, nranks=spec.ntasks, layout=layout)
+            if f.code == "transient-fault"
+        ]
+        if spec.label == "stall+retry":
+            out["suspects"] = find_transient_faults(res.trace, layout)
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    healthy = summaries["healthy"]
+    stalled = summaries["stall"]
+    retried = summaries["stall+retry"]
+    t0, t1 = _stall_window(healthy)
+
+    suspects = retried["suspects"]
+    top = suspects[0] if suspects else None
+    fault_findings = retried["transient"]
+    healthy_findings = healthy["transient"]
+
+    rows: List[Dict[str, object]] = [
         {
-            "run": "healthy",
-            "elapsed_s": healthy.elapsed,
-            "retries": float(healthy.meta["retries"]),
-        },
-        {
-            "run": "stall",
-            "elapsed_s": stalled.elapsed,
-            "retries": float(stalled.meta["retries"]),
-        },
-        {
-            "run": "stall+retry",
-            "elapsed_s": retried.elapsed,
-            "retries": float(retried.meta["retries"]),
-        },
+            "run": label,
+            "elapsed_s": s["elapsed"],
+            "retries": float(s["retries"]),
+        }
+        for label, s in summaries.items()
     ]
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
@@ -114,7 +136,8 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
         "located_t0_s": top.t_start if top else -1.0,
         "located_t1_s": top.t_end if top else -1.0,
         "retry_speedup": (
-            stalled.elapsed / retried.elapsed if retried.elapsed > 0 else 0.0
+            stalled["elapsed"] / retried["elapsed"]
+            if retried["elapsed"] > 0 else 0.0
         ),
     }
     out.series = {"rows": rows}
@@ -129,10 +152,12 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
             fault_findings
             and fault_findings[0].evidence["device"] == _SICK_OST
         ),
-        "retry_wins": retried.elapsed < stalled.elapsed,
+        "retry_wins": retried["elapsed"] < stalled["elapsed"],
         "healthy_clean": not healthy_findings,
         "bytes_conserved": (
-            healthy.total_bytes == stalled.total_bytes == retried.total_bytes
+            healthy["total_bytes"]
+            == stalled["total_bytes"]
+            == retried["total_bytes"]
         ),
     }
     out.notes.append(
@@ -140,6 +165,10 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
         f"retry policy: exponential backoff vs stock 60 s resend"
     )
     return out
+
+
+def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

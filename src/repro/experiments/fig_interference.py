@@ -34,19 +34,21 @@ totals, so attribution never invents or loses traffic.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Any, Dict, List
 
 import numpy as np
 
-from ..apps.harness import SimJob
+from ..apps.harness import SimSpec
 from ..ensembles.diagnose import find_interference
 from ..ensembles.oracle import CONTRADICTED, verify_interference
 from ..iosys.machine import MachineConfig
-from ..iosys.scheduler import WORKLOADS, Facility, TenantJob
+from ..iosys.scheduler import WORKLOADS, TenantJob
 from ..iosys.telemetry import TENANT_OST_FIELDS
-from .runner import ExperimentResult, format_table
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "interference"
 
@@ -90,85 +92,126 @@ def _conserved(res) -> bool:
     return bool(np.allclose(summed, tl.mds["mds_ops"]))
 
 
-def run(scale: str = "paper", seed: int = 11) -> ExperimentResult:
+#: co-tenants per scenario, and the tenant each one must accuse
+_SCENARIOS = {
+    "mds_storm": ((_STORM, _IDLE), "storm"),
+    "bw_hog": ((_HOG, _IDLE), "hog"),
+    # negative control: any finding here is a false accusation
+    "healthy": ((_IDLE,), None),
+}
+
+
+def plan(scale: str = "paper", seed: int = 11) -> List[SimSpec]:
+    nfiles = _params(scale)
+    machine = MachineConfig.shared_testbox()
+    victim = _victim(nfiles)
+    cost = float(_VICTIM_TASKS * nfiles)
+
+    def facility(label, co_jobs=()):
+        return SimSpec(
+            "facility", None, machine, seed,
+            cost=cost + sum(j.ntasks for j in co_jobs),
+            args=(victim, *co_jobs), label=label,
+        )
+
+    return [
+        # the victim alone: the baseline makespan, and the single-tenant
+        # reduction checked against the solo harness
+        facility("alone"),
+        SimSpec(
+            "job", WORKLOADS["checkpoint"], machine, seed, cost=cost,
+            ntasks=_VICTIM_TASKS, args=(nfiles,),
+            kwargs=(("directory", "/scratch/victim"),), label="solo",
+        ),
+        *(facility(name, co) for name, (co, _) in _SCENARIOS.items()),
+    ]
+
+
+def summarise(spec: SimSpec, res) -> Dict[str, Any]:
     # lazy: the runner package must stay importable without the store
     from ..store.capture import trace_digest
 
+    if spec.label in ("alone", "solo"):
+        out: Dict[str, Any] = {"digest": trace_digest(res.trace)}
+        if spec.label == "alone":
+            out["victim_elapsed_s"] = res.job("victim").elapsed
+            out["makespan_s"] = res.elapsed
+        return out
+    vic = res.job("victim")
+    findings = find_interference(vic.trace, res.telemetry, vic.tenant)
+    report = verify_interference(findings, res.telemetry)
+    out = {
+        "victim_elapsed_s": vic.elapsed,
+        "makespan_s": res.elapsed,
+        "findings": findings,
+        "report": report,
+        "conserved": _conserved(res),
+    }
+    aggressor_name = _SCENARIOS[spec.label][1]
+    if aggressor_name is not None and findings:
+        want = res.job(aggressor_name).tenant
+        out["aggressor_named"] = float(
+            all(f.evidence["aggressor"] == want for f in findings)
+        )
+    if spec.label == "mds_storm":
+        # adversarial: re-point a confirmed attribution at the innocent
+        # bystander and at a tenant that never ran
+        out["misattributed_caught"] = False
+        if findings:
+            f0 = findings[0]
+            bystander = float(res.job("bystander").tenant)
+            wrong = replace(
+                f0, evidence={**f0.evidence, "aggressor": bystander}
+            )
+            ghost = replace(f0, evidence={**f0.evidence, "aggressor": 99.0})
+            verdicts = verify_interference(
+                [wrong, ghost], res.telemetry
+            ).verdicts
+            out["misattributed_caught"] = all(
+                v.verdict == CONTRADICTED for v in verdicts
+            )
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
     nfiles = _params(scale)
     machine = MachineConfig.shared_testbox()
-
-    rows: List[Dict[str, object]] = []
-    reports = {}
-    conserved: Dict[str, bool] = {}
-    aggressors: Dict[str, float] = {}
-
-    def _scenario(name, co_jobs, aggressor_name=None):
-        jobs = [_victim(nfiles)] + list(co_jobs)
-        res = Facility(machine, jobs, seed=seed).run()
-        vic = res.job("victim")
-        findings = find_interference(vic.trace, res.telemetry, vic.tenant)
-        report = verify_interference(findings, res.telemetry)
-        reports[name] = report
-        conserved[name] = _conserved(res)
-        if aggressor_name is not None and findings:
-            want = res.job(aggressor_name).tenant
-            aggressors[name] = float(
-                all(f.evidence["aggressor"] == want for f in findings)
-            )
-        rows.append(
-            {
-                "scenario": name,
-                "victim_elapsed_s": vic.elapsed,
-                "makespan_s": res.elapsed,
-                "findings": float(len(findings)),
-                "confirmed": float(report.n_confirmed),
-                "contradicted": float(report.n_contradicted),
-            }
-        )
-        return res, findings
-
-    # -- victim alone: baseline + the single-tenant reduction ---------------
-    res_alone = Facility(machine, [_victim(nfiles)], seed=seed).run()
-    t_alone = res_alone.job("victim").elapsed
-    solo = SimJob(machine, _VICTIM_TASKS, seed=seed).run(
-        WORKLOADS["checkpoint"], nfiles, directory="/scratch/victim"
-    )
-    solo_identical = trace_digest(res_alone.trace) == trace_digest(solo.trace)
-    rows.append(
+    alone = summaries["alone"]
+    t_alone = alone["victim_elapsed_s"]
+    solo_identical = alone["digest"] == summaries["solo"]["digest"]
+    rows: List[Dict[str, object]] = [
         {
             "scenario": "alone",
             "victim_elapsed_s": t_alone,
-            "makespan_s": res_alone.elapsed,
+            "makespan_s": alone["makespan_s"],
             "findings": 0.0,
             "confirmed": 0.0,
             "contradicted": 0.0,
         }
-    )
-
-    # -- the two aggressor scenarios (innocent bystander riding along) ------
-    res_storm, storm_findings = _scenario(
-        "mds_storm", [_STORM, _IDLE], aggressor_name="storm"
-    )
-    res_hog, hog_findings = _scenario(
-        "bw_hog", [_HOG, _IDLE], aggressor_name="hog"
-    )
-
-    # -- negative control ---------------------------------------------------
-    _scenario("healthy", [_IDLE])
-
-    # -- adversarial: re-point a confirmed attribution ----------------------
-    misattributed_caught = False
-    if storm_findings:
-        f0 = storm_findings[0]
-        bystander = float(res_storm.job("bystander").tenant)
-        wrong = replace(f0, evidence={**f0.evidence, "aggressor": bystander})
-        ghost = replace(f0, evidence={**f0.evidence, "aggressor": 99.0})
-        verdicts = verify_interference(
-            [wrong, ghost], res_storm.telemetry
-        ).verdicts
-        misattributed_caught = all(
-            v.verdict == CONTRADICTED for v in verdicts
+    ]
+    reports = {}
+    for name in _SCENARIOS:
+        s = summaries[name]
+        reports[name] = s["report"]
+        rows.append(
+            {
+                "scenario": name,
+                "victim_elapsed_s": s["victim_elapsed_s"],
+                "makespan_s": s["makespan_s"],
+                "findings": float(len(s["findings"])),
+                "confirmed": float(s["report"].n_confirmed),
+                "contradicted": float(s["report"].n_contradicted),
+            }
         )
+    conserved = {name: summaries[name]["conserved"] for name in _SCENARIOS}
+    aggressors = {
+        name: summaries[name]["aggressor_named"]
+        for name in _SCENARIOS
+        if "aggressor_named" in summaries[name]
+    }
+    storm_findings = summaries["mds_storm"]["findings"]
+    hog_findings = summaries["bw_hog"]["findings"]
+    misattributed_caught = summaries["mds_storm"]["misattributed_caught"]
 
     storm_slow = rows[1]["victim_elapsed_s"] / t_alone
     hog_slow = rows[2]["victim_elapsed_s"] / t_alone
@@ -213,6 +256,10 @@ def run(scale: str = "paper", seed: int = 11) -> ExperimentResult:
         f"bystander or at a tenant that never ran is CONTRADICTED"
     )
     return out
+
+
+def run(scale: str = "paper", seed: int = 11) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

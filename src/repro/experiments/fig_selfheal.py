@@ -41,16 +41,18 @@ CONTRADICTED actions.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List
 
-from ..apps.harness import SimJob
+from ..apps.harness import SimSpec
 from ..ensembles.oracle import verify_healing
 from ..iosys.faults import FaultSchedule, flapping_device, oss_domain_stall
 from ..iosys.machine import MachineConfig, MiB
-from ..iosys.scheduler import Facility, TenantJob, shared_write
-from .runner import ExperimentResult, format_table
+from ..iosys.scheduler import TenantJob, shared_write
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "selfheal"
 
@@ -82,13 +84,17 @@ def _machine(**extra) -> MachineConfig:
     )
 
 
-def _run_arm(machine, nrec, heal, seed):
+def _arm(label: str, machine: MachineConfig, nrec: int, heal: bool,
+         seed: int) -> SimSpec:
     """One arm: a striped shared-file writer whose primary copies land
     on OSTs 0-7 (stripe_count=8 from start 0) -- squarely on the stalled
     domain -- while the mirror lives on the healthy half (replica shift
     8)."""
-    job = SimJob(machine.with_overrides(heal=heal), 16, seed=seed)
-    return job.run(shared_write, "/scratch/selfheal.dat", nrec, MiB, 8)
+    return SimSpec(
+        "job", shared_write, machine.with_overrides(heal=heal), seed,
+        cost=float(16 * nrec), ntasks=16,
+        args=("/scratch/selfheal.dat", nrec, MiB, 8), label=label,
+    )
 
 
 def _slowest_rank(res) -> float:
@@ -103,61 +109,9 @@ def _slowest_rank(res) -> float:
     return max(ends.values())
 
 
-def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
-    # lazy: the runner package must stay importable without the store
-    from ..store.capture import trace_digest
-
+def plan(scale: str = "paper", seed: int = 2) -> List[SimSpec]:
     nrec = _params(scale)
-    rows: List[Dict[str, object]] = []
-    reports = {}
-
-    # -- correlated OSS-domain stall: heal-off vs heal-on -------------------
     stall = FaultSchedule.of(*oss_domain_stall(_DOMAIN, 0.2, 2.2))
-    off = _run_arm(_machine(faults=stall), nrec, False, seed)
-    on = _run_arm(_machine(faults=stall), nrec, True, seed)
-    rep_corr = verify_healing(
-        on.iosys.healing_actions(), on.telemetry
-    )
-    reports["correlated"] = rep_corr
-    improvement = _slowest_rank(off) / _slowest_rank(on)
-    for name, res in (("correlated/heal-off", off),
-                      ("correlated/heal-on", on)):
-        rows.append(
-            {
-                "scenario": name,
-                "elapsed_s": res.elapsed,
-                "slowest_rank_s": _slowest_rank(res),
-                "retries": float(res.meta["retries"]),
-                "quarantines": float(
-                    res.meta.get("heal_quarantines", 0)
-                ),
-                "rebuild_mb": res.meta.get("heal_rebuild_bytes", 0)
-                / float(MiB),
-            }
-        )
-
-    # -- no-fault control: healing must be free ------------------------------
-    off_h = _run_arm(_machine(), nrec, False, seed)
-    on_h = _run_arm(_machine(), nrec, True, seed)
-    nofault_identical = (
-        trace_digest(off_h.trace) == trace_digest(on_h.trace)
-        and off_h.elapsed == on_h.elapsed  # reprolint: disable=D004 (no-fault negative control; exact identity is the contract)
-    )
-    nofault_silent = on_h.meta.get("heal_quarantines", 0) == 0 and not (
-        on_h.iosys.healing_actions()
-    )
-    rows.append(
-        {
-            "scenario": "nofault/heal-on",
-            "elapsed_s": on_h.elapsed,
-            "slowest_rank_s": _slowest_rank(on_h),
-            "retries": float(on_h.meta["retries"]),
-            "quarantines": 0.0,
-            "rebuild_mb": 0.0,
-        }
-    )
-
-    # -- flapping device: ride the fail/recover cycles ----------------------
     flap = FaultSchedule.of(
         *flapping_device(5, 0.2, up=0.5, down=1.5, cycles=3)
     )
@@ -169,52 +123,108 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
         heal_rebuild_bw=400.0 * MiB,
         heal_flap_damping=0.2,
     )
-    fl = _run_arm(flap_machine, nrec, True, seed)
-    rep_flap = verify_healing(fl.iosys.healing_actions(), fl.telemetry)
-    reports["flapping"] = rep_flap
-    rows.append(
-        {
-            "scenario": "flapping/heal-on",
-            "elapsed_s": fl.elapsed,
-            "slowest_rank_s": _slowest_rank(fl),
-            "retries": float(fl.meta["retries"]),
-            "quarantines": float(fl.meta["heal_quarantines"]),
-            "rebuild_mb": fl.meta["heal_rebuild_bytes"] / float(MiB),
+    jobs = (
+        TenantJob("victim", "checkpoint", 4, params={"nfiles": 24}),
+        TenantJob("storm", "mds-storm", 16, arrival=0.3,
+                  params={"nfiles": 6}),
+        TenantJob("late", "checkpoint", 2, arrival=0.5,
+                  params={"nfiles": 4}),
+    )
+    return [
+        # correlated OSS-domain stall: heal-off vs heal-on
+        _arm("correlated/heal-off", _machine(faults=stall), nrec, False, seed),
+        _arm("correlated/heal-on", _machine(faults=stall), nrec, True, seed),
+        # no-fault control: healing must be free
+        _arm("nofault/heal-off", _machine(), nrec, False, seed),
+        _arm("nofault/heal-on", _machine(), nrec, True, seed),
+        # flapping device: ride the fail/recover cycles
+        _arm("flapping/heal-on", flap_machine, nrec, True, seed),
+        # facility backpressure: shed, throttle, re-admit
+        SimSpec(
+            "facility", None,
+            MachineConfig.shared_testbox(
+                heal=True, heal_backpressure_depth=16
+            ),
+            11, cost=float(sum(j.ntasks for j in jobs)), args=jobs,
+            label="backpressure/facility",
+        ),
+    ]
+
+
+def summarise(spec: SimSpec, res) -> Dict[str, Any]:
+    # lazy: the runner package must stay importable without the store
+    from ..store.capture import trace_digest
+
+    if spec.kind == "facility":
+        health = res.iosys.health
+        sheds = [a for a in health.actions() if a.kind == "shed"]
+        return {
+            "elapsed": res.elapsed,
+            "counters": health.counters(),
+            "report": verify_healing(health.actions(), res.telemetry),
+            "readmitted": bool(sheds)
+            and all(a.t_end is not None for a in sheds),
         }
+    out: Dict[str, Any] = {
+        "elapsed": res.elapsed,
+        "slowest": _slowest_rank(res),
+        "meta": dict(res.meta),
+    }
+    if spec.config.heal:
+        actions = res.iosys.healing_actions()
+        out["report"] = verify_healing(actions, res.telemetry)
+        out["acted"] = bool(actions)
+    if spec.label.startswith("nofault"):
+        out["digest"] = trace_digest(res.trace)
+    return out
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    nrec = _params(scale)
+    off = summaries["correlated/heal-off"]
+    on = summaries["correlated/heal-on"]
+    off_h = summaries["nofault/heal-off"]
+    on_h = summaries["nofault/heal-on"]
+    fl = summaries["flapping/heal-on"]
+    fac = summaries["backpressure/facility"]
+    reports = {
+        "correlated": on["report"],
+        "flapping": fl["report"],
+        "backpressure": fac["report"],
+    }
+    improvement = off["slowest"] / on["slowest"]
+    nofault_identical = (
+        off_h["digest"] == on_h["digest"]
+        and off_h["elapsed"] == on_h["elapsed"]  # reprolint: disable=D004 (no-fault negative control; exact identity is the contract)
+    )
+    nofault_silent = (
+        on_h["meta"].get("heal_quarantines", 0) == 0 and not on_h["acted"]
     )
     flap_cycles = (
-        fl.meta["heal_quarantines"] >= 2
-        and fl.meta["heal_readmits"] == fl.meta["heal_quarantines"]
+        fl["meta"]["heal_quarantines"] >= 2
+        and fl["meta"]["heal_readmits"] == fl["meta"]["heal_quarantines"]
     )
+    fc = fac["counters"]
+    readmitted = fac["readmitted"]
 
-    # -- facility backpressure: shed, throttle, re-admit --------------------
-    shared = MachineConfig.shared_testbox(
-        heal=True, heal_backpressure_depth=16
-    )
-    fac = Facility(
-        shared,
-        [
-            TenantJob("victim", "checkpoint", 4, params={"nfiles": 24}),
-            TenantJob("storm", "mds-storm", 16, arrival=0.3,
-                      params={"nfiles": 6}),
-            TenantJob("late", "checkpoint", 2, arrival=0.5,
-                      params={"nfiles": 4}),
-        ],
-        seed=11,
-    ).run()
-    fh = fac.iosys.health
-    fc = fh.counters()
-    rep_bp = verify_healing(fh.actions(), fac.telemetry)
-    reports["backpressure"] = rep_bp
-    sheds = [a for a in fh.actions() if a.kind == "shed"]
-    readmitted = bool(sheds) and all(
-        a.t_end is not None for a in sheds
-    )
+    rows: List[Dict[str, object]] = [
+        {
+            "scenario": label,
+            "elapsed_s": arm["elapsed"],
+            "slowest_rank_s": arm["slowest"],
+            "retries": float(arm["meta"]["retries"]),
+            "quarantines": float(arm["meta"].get("heal_quarantines", 0)),
+            "rebuild_mb": arm["meta"].get("heal_rebuild_bytes", 0)
+            / float(MiB),
+        }
+        for label, arm in summaries.items()
+        if label != "nofault/heal-off" and label != "backpressure/facility"
+    ]
     rows.append(
         {
             "scenario": "backpressure/facility",
-            "elapsed_s": fac.elapsed,
-            "slowest_rank_s": fac.elapsed,
+            "elapsed_s": fac["elapsed"],
+            "slowest_rank_s": fac["elapsed"],
             "retries": 0.0,
             "quarantines": 0.0,
             "rebuild_mb": 0.0,
@@ -226,12 +236,12 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
     out.summary = {
-        "healoff_slowest_s": _slowest_rank(off),
-        "healon_slowest_s": _slowest_rank(on),
+        "healoff_slowest_s": off["slowest"],
+        "healon_slowest_s": on["slowest"],
         "improvement": float(improvement),
-        "quarantines": float(on.meta["heal_quarantines"]),
-        "rebuild_mb": on.meta["heal_rebuild_bytes"] / float(MiB),
-        "flap_cycles": float(fl.meta["heal_quarantines"]),
+        "quarantines": float(on["meta"]["heal_quarantines"]),
+        "rebuild_mb": on["meta"]["heal_rebuild_bytes"] / float(MiB),
+        "flap_cycles": float(fl["meta"]["heal_quarantines"]),
         "sheds": float(fc["heal_sheds"]),
         "throttled_ops": float(fc["heal_throttled_ops"]),
         "deferred_admissions": float(fc["heal_deferred_admissions"]),
@@ -242,9 +252,9 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
     out.verdicts = {
         "healing_helps": bool(improvement >= _MIN_IMPROVEMENT),
         "domain_quarantined": bool(
-            on.meta["heal_quarantines"] == len(_DOMAIN)
-            and on.meta["heal_readmits"] == len(_DOMAIN)
-            and on.meta["heal_rebuilds"] == len(_DOMAIN)
+            on["meta"]["heal_quarantines"] == len(_DOMAIN)
+            and on["meta"]["heal_readmits"] == len(_DOMAIN)
+            and on["meta"]["heal_rebuilds"] == len(_DOMAIN)
         ),
         "nofault_identical": bool(nofault_identical),
         "nofault_silent": bool(nofault_silent),
@@ -265,13 +275,17 @@ def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
         f"pays per-client detection timeouts (re-probed each "
         f"failover_probe_interval); heal-on quarantines the domain "
         f"globally after the first retry burst, rebuilds "
-        f"{on.meta['heal_rebuild_bytes'] / float(MiB):.0f} MiB under "
+        f"{on['meta']['heal_rebuild_bytes'] / float(MiB):.0f} MiB under "
         f"the bandwidth cap, and readmits after the dwell -- "
         f"improvement {improvement:.2f}x with every action graded "
         f"against the injected schedule ({total_confirmed} confirmed, "
         f"{total_contradicted} contradicted)"
     )
     return out
+
+
+def run(scale: str = "paper", seed: int = 2) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

@@ -36,11 +36,12 @@ accounting on every run.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from functools import partial
+from typing import Any, Dict, List
 
 import numpy as np
 
-from ..apps.harness import SimJob
+from ..apps.harness import SimSpec
 from ..ensembles.diagnose import diagnose
 from ..ensembles.locate import find_slow_osts
 from ..ensembles.oracle import (
@@ -51,10 +52,12 @@ from ..ensembles.oracle import (
 from ..iosys.faults import STALL, FaultSchedule, FaultWindow
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.scheduler import fpt_write_read, shared_write
-from .fig_failover import _stall_window
-from .runner import ExperimentResult, format_table
+from .fig_failover import _stall_window, _stalled
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["plan", "summarise", "reduce", "run", "main"]
 
 EXPERIMENT = "telemetry"
 
@@ -73,22 +76,6 @@ def _params(scale: str):
 def _machine(**overrides) -> MachineConfig:
     overrides.setdefault("telemetry", True)
     return MachineConfig.resilience_testbox(**overrides)
-
-
-def _shared(machine: MachineConfig, ntasks: int, nrec: int, seed: int):
-    """Shared-file records striped over the whole pool, so every device
-    serves a slice and per-device attribution has something to find."""
-    return SimJob(machine, ntasks, seed=seed).run(
-        shared_write, "/scratch/tel.dat", nrec, MiB, _N_OSTS
-    )
-
-
-def _fpt(machine: MachineConfig, ntasks: int, nrec: int, seed: int,
-         base: str):
-    """File-per-task write-then-read for the protected placements."""
-    return SimJob(machine, ntasks, seed=seed).run(
-        fpt_write_read, base, nrec, MiB, MiB, 4
-    )
 
 
 def _conserved(res) -> bool:
@@ -114,139 +101,148 @@ def _fault_findings(findings):
     ]
 
 
-def _read_stall(res) -> FaultSchedule:
-    """Place the stall inside this run's read phase (healthy probe run)."""
-    return FaultSchedule.of(
-        FaultWindow(STALL, *_stall_window(res), device=_SICK)
-    )
-
-
-def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
-    # lazy: the runner package must stay importable without the store
-    from ..store.capture import trace_digest
-
-    ntasks, nrec = _params(scale)
-
-    rows: List[Dict[str, object]] = []
-    reports = {}
-    conserved: Dict[str, bool] = {}
-
-    def _book(name, res, report):
-        reports[name] = report
-        conserved[name] = _conserved(res)
-        rows.append(
-            {
-                "scenario": name,
-                "elapsed_s": res.elapsed,
-                "confirmed": float(report.n_confirmed),
-                "contradicted": float(report.n_contradicted),
-                "retries": float(res.meta["retries"]),
-                "fault_windows": float(len(res.telemetry.fault_windows)),
-            }
-        )
-        return res
-
-    # -- healthy control (doubles as the probe sizing the stall window) ----
-    res_ok = _shared(_machine(), ntasks, nrec, seed)
-    lay_ok = res_ok.iosys.lookup("/scratch/tel.dat").layout
-    ok_findings = _fault_findings(diagnose(res_ok.trace, layout=lay_ok))
-
-    # -- stall: transient-fault must name device + window -------------------
+def _stall_at(spec: SimSpec, healthy: Dict[str, Any]) -> SimSpec:
+    """Stall the sick device over the middle half of the healthy run."""
     stall = FaultSchedule.of(
         FaultWindow(
             STALL,
-            0.25 * res_ok.elapsed,
-            0.75 * res_ok.elapsed,
+            0.25 * healthy["elapsed"],
+            0.75 * healthy["elapsed"],
             device=_SICK,
         )
     )
-    res_stall = _shared(_machine(faults=stall), ntasks, nrec, seed)
-    lay_stall = res_stall.iosys.lookup("/scratch/tel.dat").layout
-    stall_findings = _fault_findings(
-        diagnose(res_stall.trace, layout=lay_stall)
-    )
-    _book(
-        "stall",
-        res_stall,
-        verify_findings(stall_findings, res_stall.telemetry),
-    )
+    return replace(spec, config=spec.config.with_overrides(faults=stall))
 
-    # -- slow: the static scan graded in both directions --------------------
-    res_slow = _shared(_machine(ost_slowdown={3: 4.0}), ntasks, nrec, seed)
-    lay_slow = res_slow.iosys.lookup("/scratch/tel.dat").layout
-    _book(
-        "slow",
-        res_slow,
-        verify_slow_osts(
-            find_slow_osts(res_slow.trace, lay_slow), res_slow.telemetry
-        ),
-    )
 
-    # -- mirror: the masked fault must still be named -----------------------
-    probe = _fpt(
-        _machine(replica_count=2, telemetry=False), ntasks, nrec, seed,
-        "/scratch/mir",
-    )
-    res_mir = _fpt(
-        _machine(faults=_read_stall(probe), replica_count=2),
-        ntasks, nrec, seed, "/scratch/mir",
-    )
-    mir_findings = []
-    for path, f in sorted(res_mir.iosys._files.items()):
-        mir_findings.extend(
+def plan(scale: str = "paper", seed: int = 7) -> List[SimSpec]:
+    ntasks, nrec = _params(scale)
+
+    def shared(label, machine, **bound):
+        """Shared-file records striped over the whole pool, so every
+        device serves a slice and per-device attribution has something
+        to find."""
+        return SimSpec(
+            "job", shared_write, machine, seed, cost=float(ntasks * nrec),
+            ntasks=ntasks, args=("/scratch/tel.dat", nrec, MiB, _N_OSTS),
+            label=label, **bound,
+        )
+
+    def fpt(label, machine, base, **bound):
+        """File-per-task write-then-read for the protected placements."""
+        return SimSpec(
+            "job", fpt_write_read, machine, seed,
+            cost=float(2 * ntasks * nrec), ntasks=ntasks,
+            args=(base, nrec, MiB, MiB, 4), label=label, **bound,
+        )
+
+    after_healthy = dict(needs=("healthy",), bind=_stall_at)
+    return [
+        # the healthy control doubles as the probe sizing the stall window
+        shared("healthy", _machine()),
+        shared("stall", _machine(), **after_healthy),
+        shared("slow", _machine(ost_slowdown={3: 4.0})),
+        fpt("mirror probe", _machine(replica_count=2, telemetry=False),
+            "/scratch/mir"),
+        fpt("mirror", _machine(replica_count=2), "/scratch/mir",
+            needs=("mirror probe",), bind=partial(_stalled, (_SICK,))),
+        fpt("ec probe", _machine(ec_k=4, ec_m=1, telemetry=False),
+            "/scratch/ec"),
+        fpt("ec", _machine(ec_k=4, ec_m=1), "/scratch/ec",
+            needs=("ec probe",), bind=partial(_stalled, (_SICK,))),
+        # purity: the stall again with telemetry off
+        shared("stall, telemetry off", _machine(telemetry=False),
+               **after_healthy),
+    ]
+
+
+def _per_file_findings(res, code: str) -> list:
+    """``code`` findings, each file diagnosed through its own placement
+    (the erasure code when the file has one, else its primary layout)."""
+    found = []
+    for path, f in sorted(res.iosys._files.items()):
+        found.extend(
             x
             for x in diagnose(
-                res_mir.trace.filter(path=path), layout=f.layout
+                res.trace.filter(path=path), layout=f.erasure or f.layout
             )
-            if x.code == "failover-masked-fault"
+            if x.code == code
         )
-    _book(
-        "mirror", res_mir, verify_findings(mir_findings, res_mir.telemetry)
-    )
+    return found
 
-    # -- ec: the lost data device must be named ------------------------------
-    probe = _fpt(
-        _machine(ec_k=4, ec_m=1, telemetry=False), ntasks, nrec, seed,
-        "/scratch/ec",
-    )
-    res_ec = _fpt(
-        _machine(faults=_read_stall(probe), ec_k=4, ec_m=1),
-        ntasks, nrec, seed, "/scratch/ec",
-    )
-    ec_findings = []
-    for path, f in sorted(res_ec.iosys._files.items()):
-        ec_findings.extend(
-            x
-            for x in diagnose(
-                res_ec.trace.filter(path=path), layout=f.erasure
+
+def summarise(spec: SimSpec, res) -> Dict[str, Any]:
+    # lazy: the runner package must stay importable without the store
+    from ..store.capture import trace_digest
+
+    label = spec.label
+    if label.endswith("probe"):
+        return {"stall_window": _stall_window(res)}
+    if label == "stall, telemetry off":
+        return {"digest": trace_digest(res.trace)}
+    out: Dict[str, Any] = {
+        "elapsed": res.elapsed,
+        "retries": res.meta["retries"],
+        "fault_windows": len(res.telemetry.fault_windows),
+        "conserved": _conserved(res),
+    }
+    if label == "slow":
+        # the static scan, graded in both directions
+        layout = res.iosys.lookup("/scratch/tel.dat").layout
+        out["report"] = verify_slow_osts(
+            find_slow_osts(res.trace, layout), res.telemetry
+        )
+        return out
+    if label == "mirror":
+        findings = _per_file_findings(res, "failover-masked-fault")
+    elif label == "ec":
+        findings = _per_file_findings(res, "ec-degraded")
+    else:
+        layout = res.iosys.lookup("/scratch/tel.dat").layout
+        findings = _fault_findings(diagnose(res.trace, layout=layout))
+    out["findings"] = findings
+    out["report"] = verify_findings(findings, res.telemetry)
+    if label == "stall":
+        out["digest"] = trace_digest(res.trace)
+        # adversarial: right window, wrong device
+        out["misattributed_caught"] = False
+        if findings:
+            wrong = replace(
+                findings[0],
+                evidence={
+                    **findings[0].evidence,
+                    "device": float((_SICK + 7) % _N_OSTS),
+                },
             )
-            if x.code == "ec-degraded"
-        )
-    _book("ec", res_ec, verify_findings(ec_findings, res_ec.telemetry))
+            v = verify_finding(wrong, res.telemetry)
+            out["misattributed_caught"] = v.verdict == "CONTRADICTED"
+    return out
 
-    # -- healthy control: book it last so the table reads fault-first ------
-    _book(
-        "healthy", res_ok, verify_findings(ok_findings, res_ok.telemetry)
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    # the table reads fault-first: the healthy control is booked last
+    booked = ("stall", "slow", "mirror", "ec", "healthy")
+    reports = {name: summaries[name]["report"] for name in booked}
+    rows: List[Dict[str, object]] = [
+        {
+            "scenario": name,
+            "elapsed_s": summaries[name]["elapsed"],
+            "confirmed": float(reports[name].n_confirmed),
+            "contradicted": float(reports[name].n_contradicted),
+            "retries": float(summaries[name]["retries"]),
+            "fault_windows": float(summaries[name]["fault_windows"]),
+        }
+        for name in booked
+    ]
+    conserved = {name: summaries[name]["conserved"] for name in booked}
+    ok_findings = summaries["healthy"]["findings"]
+    stall_findings = summaries["stall"]["findings"]
+    mir_findings = summaries["mirror"]["findings"]
+    ec_findings = summaries["ec"]["findings"]
+    misattributed_caught = summaries["stall"]["misattributed_caught"]
+    invariant = (
+        summaries["stall, telemetry off"]["digest"]
+        == summaries["stall"]["digest"]
     )
-
-    # -- adversarial: right window, wrong device ----------------------------
-    misattributed_caught = False
-    if stall_findings:
-        wrong = replace(
-            stall_findings[0],
-            evidence={
-                **stall_findings[0].evidence,
-                "device": float((_SICK + 7) % _N_OSTS),
-            },
-        )
-        v = verify_finding(wrong, res_stall.telemetry)
-        misattributed_caught = v.verdict == "CONTRADICTED"
-
-    # -- purity: telemetry must not perturb the simulation ------------------
-    res_off = _shared(
-        _machine(faults=stall, telemetry=False), ntasks, nrec, seed
-    )
-    invariant = trace_digest(res_off.trace) == trace_digest(res_stall.trace)
 
     out = ExperimentResult(experiment=EXPERIMENT, scale=scale)
     out.summary = {
@@ -284,6 +280,10 @@ def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
         f"byte-identical with telemetry on and off"
     )
     return out
+
+
+def run(scale: str = "paper", seed: int = 7) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

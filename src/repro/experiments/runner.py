@@ -6,6 +6,21 @@ a *run*."  Each ``figN_*`` module defines one experiment per figure panel
 group, exposes ``run(scale=...)`` returning an :class:`ExperimentResult`,
 and a ``main()`` that prints the same rows/series the paper reports.
 
+Every module splits ``run`` into three steps, so the unit of work is
+one simulation rather than one experiment:
+
+- ``plan(scale, seed) -> [SimSpec]`` lists the simulations, in the
+  order ``run`` performs them (:class:`~repro.apps.harness.SimSpec`);
+- ``summarise(spec, result) -> dict`` runs right after each simulation
+  and keeps only what the reduce needs, so the live result (engine,
+  I/O system, trace) can be freed before the next simulation starts;
+- ``reduce(scale, summaries) -> ExperimentResult`` builds the result
+  from the summaries, keyed by spec label in plan order.
+
+``run`` is :func:`summarise_plan` followed by ``reduce``: serial, in
+one process.  :mod:`repro.sweep` schedules the same specs across
+worker processes and reduces in the parent.
+
 Scales: every experiment runs at the paper's full parameters by default
 (``scale='paper'``); ``scale='small'`` shrinks task counts and transfer
 sizes for tests and pytest-benchmarks while exercising identical code
@@ -18,18 +33,44 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..apps.harness import SimSpec
 
 __all__ = [
     "ExperimentResult",
+    "Summaries",
+    "summarise_plan",
     "format_table",
     "SCALES",
     "result_to_dict",
     "output_path",
-    "save_result",
+    "save_payload",
 ]
 
 SCALES = ("paper", "small", "tiny")
+
+
+#: per-simulation summaries of one plan, keyed by spec label in plan order
+Summaries = Dict[str, Dict[str, Any]]
+
+
+def summarise_plan(
+    specs: Sequence["SimSpec"],
+    summarise: Callable[["SimSpec", Any], Dict[str, Any]],
+) -> Summaries:
+    """Run a plan serially and in order: resolve each spec against the
+    summaries so far, simulate it, summarise it, and drop the result
+    before the next spec starts."""
+    # lazy: the runner module stays importable without the simulator
+    from ..apps.harness import simulate
+
+    summaries: Summaries = {}
+    for spec in specs:
+        spec = spec.resolve(summaries)
+        summaries[spec.label] = summarise(spec, simulate(spec))
+    return summaries
 
 
 @dataclass
@@ -126,12 +167,13 @@ def output_path(directory: str, experiment: str, scale: str) -> str:
     return os.path.join(directory, f"EXP_{experiment}_{scale}.json")
 
 
-def save_result(result: ExperimentResult, directory: str) -> str:
-    """Write ``result`` to its canonical path; returns the path."""
+def save_payload(payload: Dict[str, Any], directory: str) -> str:
+    """Write a :func:`result_to_dict` payload to its canonical path;
+    returns the path."""
     os.makedirs(directory, exist_ok=True)
-    path = output_path(directory, result.experiment, result.scale)
+    path = output_path(directory, payload["experiment"], payload["scale"])
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(result), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

@@ -11,14 +11,18 @@ documented in EXPERIMENTS.md.)
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List
 
-from ..apps.harness import SimJob
+from ..apps.harness import AppResult, SimSpec
 from ..iosys.machine import MachineConfig, MiB
 from ..iosys.scheduler import shared_write
-from .runner import ExperimentResult, format_table
+from .runner import (
+    ExperimentResult, Summaries, format_table, summarise_plan,
+)
 
-__all__ = ["run", "main", "sweep_counts"]
+__all__ = [
+    "plan", "summarise", "reduce", "run", "main", "sweep_counts",
+]
 
 EXPERIMENT = "saturation"
 
@@ -29,27 +33,41 @@ def sweep_counts(scale: str = "paper") -> List[int]:
     return [2, 4, 8, 16, 32]
 
 
-def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+def _machine(scale: str) -> MachineConfig:
     # streaming saturation test: the node client pipelines fairly across
     # its tasks (the burst-order discipline applies to discrete large
     # transfers, not sustained streaming)
     machine = MachineConfig.franklin(discipline_weights={4: 1.0})
-    nbytes = 512 * MiB if scale == "paper" else 64 * MiB
     if scale != "paper":
         # weak-scale the file system so the knee falls inside the sweep
         machine = machine.with_overrides(fs_bw=1.6 * 1024 * MiB)
-    rows: List[Dict[str, float]] = []
-    for n in sweep_counts(scale):
-        job = SimJob(machine, n, seed=seed)
-        result = job.run(
-            shared_write, f"/scratch/sat{n}.dat", 1, nbytes, machine.n_osts,
-            fence=True,
+    return machine
+
+
+def plan(scale: str = "paper", seed: int = 0) -> List[SimSpec]:
+    machine = _machine(scale)
+    nbytes = 512 * MiB if scale == "paper" else 64 * MiB
+    return [
+        SimSpec(
+            "job", shared_write, machine, seed, cost=float(n), ntasks=n,
+            args=(f"/scratch/sat{n}.dat", 1, nbytes, machine.n_osts),
+            kwargs=(("fence", True),), label=f"{n} tasks",
         )
-        writes = result.trace.writes()
-        rate = writes.total_bytes / writes.span if writes.span > 0 else 0.0
-        rows.append(
-            {"tasks": float(n), "aggregate_GBps": rate / (1024 * MiB)}
-        )
+        for n in sweep_counts(scale)
+    ]
+
+
+def summarise(spec: SimSpec, res: AppResult) -> Dict[str, Any]:
+    writes = res.trace.writes()
+    rate = writes.total_bytes / writes.span if writes.span > 0 else 0.0
+    return {
+        "tasks": float(spec.ntasks), "aggregate_GBps": rate / (1024 * MiB),
+    }
+
+
+def reduce(scale: str, summaries: Summaries) -> ExperimentResult:
+    machine = _machine(scale)
+    rows: List[Dict[str, float]] = [dict(s) for s in summaries.values()]
 
     rates = [r["aggregate_GBps"] for r in rows]
     peak = max(rates)
@@ -73,6 +91,10 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
         "near_fs_bw": peak > 0.5 * machine.fs_bw / (1024 * MiB),
     }
     return out
+
+
+def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
+    return reduce(scale, summarise_plan(plan(scale, seed), summarise))
 
 
 def main(

@@ -6,7 +6,7 @@ Two source shapes are understood:
   ``benchmarks/conftest.py`` (a list of per-benchmark entries with
   pytest-benchmark ``stats`` and the attached ``extra_info`` series);
 - ``EXP_<name>_<scale>.json`` -- experiment results written through
-  :func:`repro.experiments.runner.save_result` (the canonical
+  :func:`repro.experiments.runner.save_payload` (the canonical
   :class:`~repro.experiments.runner.ExperimentResult` dict).
 
 Both funnel into :class:`~repro.store.schema.RunRecord` via

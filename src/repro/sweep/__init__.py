@@ -1,34 +1,49 @@
-"""Multi-core sweep runner for independent fixed-seed simulations.
+"""Multi-core sweep runner: schedules simulations, not experiments.
 
 The paper's methodology is ensemble-first: one run is an anecdote, a
 sweep of fixed-seed runs is a distribution (Section III).  Every
 simulation in this repo is deterministic and single-threaded, so a sweep
-is embarrassingly parallel -- this module shards a list of
-:class:`SweepTask` across worker *processes* (one interpreter each; no
-shared simulation state) and reassembles results in task order, so the
-output is byte-identical no matter how many workers ran it.
+is embarrassingly parallel at the level of single simulations.
 
-Guarantees, enforced by ``tests/test_sweep.py`` and the Hypothesis
-properties in ``tests/test_sweep_properties.py``:
+How a sweep runs:
+
+- **Plan in the parent.**  Each ``experiment`` task is split by its
+  module's ``plan(scale)`` into :class:`~repro.apps.harness.SimSpec`
+  values; ``callable`` and ``ingest`` tasks are one unit each.
+- **Pull queue, longest first.**  Worker *processes* (one interpreter
+  each, no shared simulation state) take one unit at a time: whenever a
+  worker is idle the parent hands it the ready unit with the largest
+  ``SimSpec.cost`` hint (ties in task, then plan order).  A spec that
+  ``needs`` earlier simulations of its plan becomes ready once their
+  summaries are back; the parent resolves it before handing it out.
+- **Ship summaries, reduce in the parent.**  A worker simulates one
+  spec, runs the experiment's ``summarise`` and sends back only the
+  picklable summary.  As soon as every spec of an experiment is back,
+  the parent -- having first handed the idle workers new units -- calls
+  ``reduce`` with the summaries in plan order, renders ``main()`` and
+  drops the summaries.  At the end it writes ``--save`` files and
+  ``--store`` records in task order.
+
+Guarantees, enforced by ``tests/test_sweep.py`` and the properties in
+``tests/test_sweep_properties.py``:
 
 - **Deterministic ordering** -- ``SweepRunner.run()`` returns one
   :class:`SweepResult` per task, in task order, for any worker count.
-- **Shard-count invariance** -- runs with 1 and N workers produce
-  identical ordered results and identical RunStore contents.  Store
-  identity holds because every worker stamps records with the *parent's*
-  single ``created_at`` and ``wall_time=None``, making ``run_id`` a pure
-  content hash; the store's idempotent ``put`` plus its busy-timeout
-  retry absorb concurrent writers.
-- **Crash isolation** -- a worker that dies (segfault, ``os._exit``,
-  unhandled exception) yields recorded failures for its unfinished
-  tasks; the sweep itself always completes and other shards are
-  unaffected.
+- **Worker-count invariance** -- payloads, ``main()`` text, saved files
+  and RunStore contents are identical for 1 and N workers: reduce sees
+  the same summaries in the same order, and every record carries the
+  parent's single ``created_at`` and ``wall_time=None``, so ``run_id``
+  is a pure content hash.  ``SweepResult.worker`` is diagnostic only.
+- **Crash isolation** -- a unit that raises, or a worker that dies
+  outright (segfault, ``os._exit``), fails only the unit in flight and
+  so only the task it belongs to; the dead worker is replaced and every
+  other task completes.
 
 Tasks come in three kinds:
 
 - ``experiment`` -- run ``repro.experiments`` module ``name`` at
-  ``scale``; optionally save the loose ``EXP_*.json`` and ingest the
-  result into a run store.
+  ``scale``, one unit per planned simulation; optionally save the loose
+  ``EXP_*.json`` and ingest the result into a run store.
 - ``callable`` -- import ``name`` as ``"module:function"`` and call it
   with ``args`` as keyword arguments (the generic escape hatch, also
   what the crash-isolation tests poison).
@@ -38,18 +53,19 @@ Tasks come in three kinds:
 
 from __future__ import annotations
 
+import heapq
 import importlib
+import pickle
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from queue import Empty
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "SweepError",
     "SweepTask",
     "SweepResult",
-    "shard_tasks",
     "experiment_tasks",
     "SweepRunner",
     "run_sweep",
@@ -85,8 +101,9 @@ class SweepResult:
     """Outcome of one task: ``payload`` on success (the experiment's
     ``result_to_dict`` output, the callable's return value, or ingest
     stats), ``error`` (a traceback or crash description) on failure.
-    ``worker`` records which shard ran it (diagnostic only -- it varies
-    with worker count; everything else must not)."""
+    ``text`` is an experiment's ``main()`` rendering.  ``worker``
+    records which worker finished the task's last unit (diagnostic only
+    -- it varies with worker count; everything else must not)."""
 
     task: SweepTask
     index: int
@@ -94,28 +111,7 @@ class SweepResult:
     payload: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     worker: int = -1
-
-
-def shard_tasks(n_tasks: int, workers: int) -> List[range]:
-    """Partition task indices ``0..n_tasks-1`` into ``workers``
-    contiguous, order-preserving, balanced slices (sizes differ by at
-    most one; empty shards are dropped).
-
-    Contiguity is a determinism aid: which worker runs a task is a pure
-    function of ``(n_tasks, workers)``, never of completion timing.
-    """
-    if workers < 1:
-        raise SweepError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, n_tasks) or 1
-    base, extra = divmod(n_tasks, workers)
-    shards: List[range] = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            shards.append(range(start, start + size))
-        start += size
-    return shards
+    text: Optional[str] = None
 
 
 def experiment_tasks(
@@ -149,32 +145,21 @@ def _resolve_callable(path: str) -> Any:
         raise SweepError(f"no {fn_name!r} in module {module_name!r}") from exc
 
 
-def _run_task(
-    task: SweepTask,
-    created_at: str,
-    store: Any,
-    save_dir: Optional[str],
-) -> Optional[Dict[str, Any]]:
-    """Execute one task (in a worker process) and return its payload."""
+#: a unit of work: ``(task index, spec index)``; spec index -1 marks a
+#: whole callable/ingest task
+Key = Tuple[int, int]
+
+
+def _run_unit(
+    task: SweepTask, spec: Any, store_path: Optional[str], created_at: str
+) -> Any:
+    """Execute one unit (in a worker process) and return what it ships
+    back: an experiment spec's summary, or a task's payload."""
     if task.kind == "experiment":
+        from ..apps.harness import simulate
         from ..experiments import ALL_EXPERIMENTS
-        from ..experiments.runner import result_to_dict, save_result
 
-        module = ALL_EXPERIMENTS[task.name]
-        result = module.run(task.scale)
-        payload = result_to_dict(result)
-        if save_dir:
-            save_result(result, save_dir)
-        if store is not None:
-            from ..store.capture import record_from_experiment_dict
-
-            # wall_time deliberately omitted and created_at fixed by the
-            # parent: the record must hash identically on every worker
-            # layout for the store-identity guarantee
-            store.put(record_from_experiment_dict(
-                payload, wall_time=None, created_at=created_at
-            ))
-        return payload
+        return ALL_EXPERIMENTS[task.name].summarise(spec, simulate(spec))
     if task.kind == "callable":
         fn = _resolve_callable(task.name)
         out = fn(**dict(task.args))
@@ -182,13 +167,16 @@ def _run_task(
             return {str(k): v for k, v in out.items()}
         return {"value": out}
     if task.kind == "ingest":
-        if store is None:
+        if store_path is None:
             raise SweepError("ingest tasks need a --store destination")
+        from ..store import RunStore
         from ..store.ingest import ingest_paths
 
-        stats = ingest_paths(
-            store, list(task.args.get("paths", ())), created_at=created_at
-        )
+        with RunStore(store_path) as store:
+            stats = ingest_paths(
+                store, list(task.args.get("paths", ())),
+                created_at=created_at,
+            )
         return {
             "files": stats.files,
             "inserted": stats.inserted,
@@ -198,40 +186,32 @@ def _run_task(
 
 
 def _worker_main(
-    shard_id: int,
-    indexed: List[Tuple[int, SweepTask]],
+    worker: int,
+    inbox: Any,
+    outbox: Any,
     created_at: str,
     store_path: Optional[str],
-    save_dir: Optional[str],
-    queue: Any,
 ) -> None:
-    """Worker entry point: run this shard's tasks in order, reporting
-    each as it finishes, then the shard's done-sentinel.
+    """Worker entry point: run the units the parent hands over, one at a
+    time, until it sends ``None``.
 
-    Every worker opens its own store connection (connections must not
-    cross a fork); a task exception is captured as a failed result and
-    the shard continues -- only a hard crash takes the shard down, and
-    the parent detects that by the missing sentinel.
+    A unit's exception is reported as a failure and the worker carries
+    on -- only a hard crash ends it early, and the parent notices by the
+    process being gone.
     """
-    store = None
-    if store_path is not None:
-        from ..store import RunStore
-
-        store = RunStore(store_path)
-    try:
-        for index, task in indexed:
-            try:
-                payload = _run_task(task, created_at, store, save_dir)
-            except BaseException:  # noqa: BLE001 - report, don't sink shard
-                queue.put(
-                    ("result", index, False, None, traceback.format_exc())
-                )
-            else:
-                queue.put(("result", index, True, payload, None))
-        queue.put(("done", shard_id, None, None, None))
-    finally:
-        if store is not None:
-            store.close()
+    while True:
+        unit = inbox.get()
+        if unit is None:
+            return
+        key, task, spec = unit
+        try:
+            # pickled here, so a value that cannot cross the process
+            # boundary fails its unit instead of the queue's feeder
+            value = pickle.dumps(_run_unit(task, spec, store_path, created_at))
+        except BaseException:  # noqa: BLE001 - report, keep serving
+            outbox.put((worker, key, False, None, traceback.format_exc()))
+        else:
+            outbox.put((worker, key, True, value, None))
 
 
 #: parent poll interval while waiting on worker messages (host seconds;
@@ -239,13 +219,70 @@ def _worker_main(
 _POLL_S = 0.2
 
 
-class SweepRunner:
-    """Shard ``tasks`` across ``workers`` processes and collect results.
+@dataclass
+class _Plan:
+    """One task's units and what has come back for them: an experiment
+    has one unit per planned spec, any other task a single ``None``."""
 
-    ``store_path``/``save_dir`` are forwarded to every worker;
-    ``created_at`` is the single timestamp stamped on every store record
-    (pass :func:`repro.store.clock.utc_stamp` output from the CLI; tests
-    pass a constant).  ``run()`` may be called once per instance.
+    specs: List[Any]
+    done: Dict[int, Any] = field(default_factory=dict)
+    error: Optional[str] = None
+    worker: int = -1
+    #: the task's payload and ``main()`` text once it is complete
+    payload: Optional[Dict[str, Any]] = None
+    text: Optional[str] = None
+
+    def complete(self) -> bool:
+        return self.error is None and len(self.done) == len(self.specs)
+
+    def ready(self, ti: int, queued: Set[Key]) -> List[Tuple[float, Key]]:
+        """Heap entries for this plan's units not yet queued whose needs
+        are all summarised; dependent specs are resolved on the way."""
+        if self.error is not None:
+            return []
+        labels = {spec.label: si for si, spec in enumerate(self.specs)
+                  if spec is not None}
+        entries = []
+        for si, spec in enumerate(self.specs):
+            needs = () if spec is None else spec.needs
+            if (ti, si) in queued or not all(
+                labels[n] in self.done for n in needs
+            ):
+                continue
+            if needs:
+                self.specs[si] = spec.resolve(
+                    {n: self.done[labels[n]] for n in needs}
+                )
+            queued.add((ti, si))
+            cost = 0.0 if spec is None else float(spec.cost)
+            # longest first; ties in task, then plan order
+            entries.append((-cost, (ti, si)))
+        return entries
+
+
+class _Worker:
+    """One worker process and the inbox the parent feeds it through."""
+
+    def __init__(self, ctx: Any, wid: int, outbox: Any,
+                 created_at: str, store_path: Optional[str]) -> None:
+        self.inbox = ctx.Queue()
+        self.proc = ctx.Process(
+            target=_worker_main,
+            args=(wid, self.inbox, outbox, created_at, store_path),
+            daemon=True,
+        )
+        self.proc.start()
+        self.dead_polls = 0
+
+
+class SweepRunner:
+    """Run ``tasks`` on ``workers`` processes and collect results.
+
+    ``store_path``/``save_dir`` receive experiment results (written by
+    the parent, in task order) and ingest tasks' records; ``created_at``
+    is the single timestamp stamped on every store record (pass
+    :func:`repro.store.clock.utc_stamp` output from the CLI; tests pass
+    a constant).  ``run()`` may be called once per instance.
     """
 
     def __init__(
@@ -265,10 +302,40 @@ class SweepRunner:
         self.created_at = created_at
 
     def run(self) -> List[SweepResult]:
-        tasks = self.tasks
-        if not tasks:
+        if not self.tasks:
             return []
-        shards = shard_tasks(len(tasks), self.workers)
+        plans = [self._plan(task) for task in self.tasks]
+        queued: Set[Key] = set()
+        ready: List[Tuple[float, Key]] = []
+        for ti, plan in enumerate(plans):
+            for entry in plan.ready(ti, queued):
+                heapq.heappush(ready, entry)
+        n_units = sum(len(plan.specs) for plan in plans)
+        self._dispatch(plans, queued, ready, min(self.workers, n_units))
+        return self._collect(plans)
+
+    # -- the three stages ---------------------------------------------------
+    def _plan(self, task: SweepTask) -> _Plan:
+        if task.kind != "experiment":
+            return _Plan(specs=[None])
+        from ..experiments import ALL_EXPERIMENTS
+
+        try:
+            plan = ALL_EXPERIMENTS[task.name].plan
+            return _Plan(specs=list(plan(task.scale)))
+        except Exception:  # noqa: BLE001 - fails this task only
+            return _Plan(specs=[], error=traceback.format_exc())
+
+    def _dispatch(
+        self,
+        plans: List[_Plan],
+        queued: Set[Key],
+        ready: List[Tuple[float, Key]],
+        n_workers: int,
+    ) -> None:
+        """Hand ready units to idle workers until none is left or in
+        flight, reducing each task as it completes; replace a worker
+        that dies, failing its one unit."""
         # fork keeps worker start cheap and inherits sys.path; fall back
         # to the platform default where fork is unavailable (typeshed's
         # BaseContext lacks .Process, hence the Any)
@@ -277,77 +344,160 @@ class SweepRunner:
             ctx = get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             ctx = get_context()
-        queue = ctx.Queue()
-        procs = []
-        shard_of: Dict[int, int] = {}
-        for shard_id, shard in enumerate(shards):
-            indexed = [(i, tasks[i]) for i in shard]
-            for i in shard:
-                shard_of[i] = shard_id
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    shard_id, indexed, self.created_at,
-                    self.store_path, self.save_dir, queue,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
+        outbox = ctx.Queue()
+        # every worker starts before the parent's first put spawns a queue
+        # feeder thread: forking a threaded process risks a deadlock
+        workers = {
+            wid: _Worker(ctx, wid, outbox, self.created_at, self.store_path)
+            for wid in range(n_workers)
+        }
+        idle = list(range(n_workers))
+        inflight: Dict[int, Key] = {}
+        finished: List[int] = []
+        try:
+            while True:
+                while idle and ready:
+                    _, (ti, si) = heapq.heappop(ready)
+                    if plans[ti].error is not None:
+                        continue  # its task already failed
+                    wid = idle.pop(0)
+                    if wid not in workers:  # replaces a dead worker
+                        workers[wid] = _Worker(
+                            ctx, wid, outbox, self.created_at,
+                            self.store_path,
+                        )
+                    workers[wid].inbox.put(
+                        ((ti, si), self.tasks[ti], plans[ti].specs[si])
+                    )
+                    inflight[wid] = (ti, si)
+                # reduce while the workers simulate, after handing them
+                # work; each summary is dropped once its task is reduced
+                while finished:
+                    self._reduce(finished.pop(0), plans)
+                if not inflight:
+                    return
+                try:
+                    wid, key, ok, value, error = outbox.get(timeout=_POLL_S)
+                except Empty:
+                    self._reap(plans, workers, inflight, idle)
+                    continue
+                if inflight.get(wid) != key:
+                    continue  # a reaped worker's late message
+                del inflight[wid]
+                idle.append(wid)
+                idle.sort()
+                ti, si = key
+                plan = plans[ti]
+                plan.worker = wid
+                if not ok:
+                    if plan.error is None:
+                        plan.error = error
+                    continue
+                plan.done[si] = pickle.loads(value)
+                for entry in plan.ready(ti, queued):
+                    heapq.heappush(ready, entry)
+                if plan.complete():
+                    finished.append(ti)
+        finally:
+            for worker in workers.values():
+                if worker.proc.is_alive():
+                    worker.inbox.put(None)
+            for worker in workers.values():
+                worker.proc.join()
+            outbox.close()
 
-        collected: Dict[int, SweepResult] = {}
-        pending = set(range(len(shards)))
-        dead_polls: Dict[int, int] = {}
-        while pending:
-            try:
-                kind, a, b, c, d = queue.get(timeout=_POLL_S)
-            except Empty:
-                # no message: reap shards that died without a sentinel,
-                # allowing one extra empty poll so results a worker
-                # flushed just before crashing still drain from the pipe
-                for shard_id in sorted(pending):
-                    proc = procs[shard_id]
-                    if proc.is_alive():
-                        continue
-                    dead_polls[shard_id] = dead_polls.get(shard_id, 0) + 1
-                    if dead_polls[shard_id] < 2:
-                        continue
-                    pending.discard(shard_id)
-                    for i in shards[shard_id]:
-                        if i not in collected:
-                            collected[i] = SweepResult(
-                                task=tasks[i], index=i, ok=False,
-                                error=(
-                                    f"worker {shard_id} died "
-                                    f"(exitcode {proc.exitcode}) before "
-                                    f"reporting this task"
-                                ),
-                                worker=shard_id,
-                            )
+    def _reap(
+        self,
+        plans: List[_Plan],
+        workers: Dict[int, _Worker],
+        inflight: Dict[int, Key],
+        idle: List[int],
+    ) -> None:
+        """No message: fail the unit of any worker that died, allowing
+        one extra empty poll so a result the worker flushed just before
+        crashing still drains from the pipe."""
+        for wid in sorted(inflight):
+            worker = workers[wid]
+            if worker.proc.is_alive():
                 continue
-            if kind == "done":
-                pending.discard(a)
-            else:
-                index, ok, payload, error = a, b, c, d
-                collected[index] = SweepResult(
-                    task=tasks[index], index=index, ok=ok,
-                    payload=payload, error=error,
-                    worker=shard_of[index],
+            worker.dead_polls += 1
+            if worker.dead_polls < 2:
+                continue
+            ti, si = inflight.pop(wid)
+            spec = plans[ti].specs[si]
+            unit = "" if spec is None else f" spec {spec.label!r} of"
+            if plans[ti].error is None:
+                plans[ti].error = (
+                    f"worker {wid} died (exitcode {worker.proc.exitcode}) "
+                    f"while running{unit} {self.tasks[ti].label()}"
                 )
-        for proc in procs:
-            proc.join()
-        queue.close()
-        # a shard can crash after reporting results but before its
-        # sentinel drained; anything still missing is a recorded failure
-        for i in range(len(tasks)):
-            if i not in collected:
-                shard_id = shard_of[i]
-                collected[i] = SweepResult(
-                    task=tasks[i], index=i, ok=False,
-                    error=f"worker {shard_id} exited without reporting",
-                    worker=shard_id,
-                )
-        return [collected[i] for i in range(len(tasks))]
+            plans[ti].worker = wid
+            del workers[wid]  # a fresh worker takes the slot on demand
+            idle.append(wid)
+            idle.sort()
+
+    def _reduce(self, ti: int, plans: List[_Plan]) -> None:
+        """Turn task ``ti``'s completed units into its payload (and, for
+        an experiment, its ``main()`` text), freeing the summaries."""
+        task, plan = self.tasks[ti], plans[ti]
+        if task.kind != "experiment":
+            plan.payload = plan.done.pop(0)
+            return
+        from ..experiments import ALL_EXPERIMENTS
+        from ..experiments.runner import result_to_dict
+
+        module = ALL_EXPERIMENTS[task.name]
+        summaries = {
+            spec.label: plan.done[si] for si, spec in enumerate(plan.specs)
+        }
+        plan.done.clear()
+        try:
+            result = module.reduce(task.scale, summaries)
+            plan.payload = result_to_dict(result)
+            plan.text = module.main(task.scale, result=result)
+        except Exception:  # noqa: BLE001 - fails this task only
+            plan.error = traceback.format_exc()
+
+    def _collect(self, plans: List[_Plan]) -> List[SweepResult]:
+        """Save, store and report each task, in task order."""
+        store = None
+        if self.store_path is not None and any(
+            t.kind == "experiment" for t in self.tasks
+        ):
+            from ..store import RunStore
+
+            store = RunStore(self.store_path)
+        try:
+            return [
+                self._finish(ti, task, plans[ti], store)
+                for ti, task in enumerate(self.tasks)
+            ]
+        finally:
+            if store is not None:
+                store.close()
+
+    def _finish(
+        self, ti: int, task: SweepTask, plan: _Plan, store: Any
+    ) -> SweepResult:
+        if plan.error is not None:
+            return SweepResult(task=task, index=ti, ok=False,
+                               error=plan.error, worker=plan.worker)
+        if task.kind == "experiment" and plan.payload is not None:
+            from ..experiments.runner import save_payload
+
+            if self.save_dir:
+                save_payload(plan.payload, self.save_dir)
+            if store is not None:
+                from ..store.capture import record_from_experiment_dict
+
+                # wall_time deliberately omitted and created_at fixed by
+                # the parent: the record must hash identically on every
+                # worker layout for the store-identity guarantee
+                store.put(record_from_experiment_dict(
+                    plan.payload, wall_time=None, created_at=self.created_at
+                ))
+        return SweepResult(task=task, index=ti, ok=True, payload=plan.payload,
+                           worker=plan.worker, text=plan.text)
 
 
 def run_sweep(

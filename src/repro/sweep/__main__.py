@@ -1,4 +1,5 @@
-"""Shard fixed-seed experiment runs across worker processes.
+"""Run fixed-seed experiments with their simulations spread over
+worker processes.
 
 Usage::
 
@@ -6,10 +7,11 @@ Usage::
                           [--workers N] [--save DIR] [--store DB]
 
 Selectors mirror ``python -m repro.experiments``: a scale and/or
-experiment names (all experiments when none given).  Results print in
-task order regardless of worker count, and the exit status is non-zero
-if any task failed -- a crashed worker is a recorded failure, not a hung
-sweep.
+experiment names (all experiments when none given).  Workers pull single
+simulations, longest first; the parent reduces each experiment and
+prints its ``main()`` text in task order, byte-identical for any worker
+count.  The exit status is non-zero if any task failed -- a crashed
+worker is a recorded failure, not a hung sweep.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "" if held is None
                 else (" verdicts=ok" if held else " verdicts=FAILED")
             )
+            if res.text is not None:
+                print(res.text)
             print(f"ok   {res.task.label()} [worker {res.worker}]{verdict}")
         else:
             failures += 1

@@ -65,6 +65,7 @@ from repro.iosys.faults import (  # noqa: E402
 )
 from repro.iosys.machine import MachineConfig, MiB  # noqa: E402
 from repro.iosys.posix import O_CREAT, O_RDWR  # noqa: E402
+from repro.iosys.scheduler import shared_write  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "detectors.json"
 FORMAT = 1
@@ -150,21 +151,6 @@ def _per_file(res, nranks: int) -> Dict[str, Any]:
     return out
 
 
-def _record_writer(ctx, nrec: int, record: int, path: str):
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, ctx.machine.n_osts)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    base = ctx.rank * nrec * record
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, record, base + j * record)
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _opener(ctx, n: int):
     for i in range(n):
         fd = yield from ctx.io.open(f"/scratch/m{ctx.rank}_{i}", O_CREAT | O_RDWR)
@@ -174,7 +160,7 @@ def _opener(ctx, n: int):
 
 def _shared(machine, ntasks, nrec, record, path, seed):
     job = SimJob(machine, ntasks, seed=seed, placement="packed")
-    res = job.run(_record_writer, nrec, record, path)
+    res = job.run(shared_write, path, nrec, record, machine.n_osts)
     return _battery(res.trace, ntasks, job.iosys.lookup(path).layout)
 
 

@@ -21,6 +21,7 @@ from repro.iosys.erasure import ErasureCodedLayout
 from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
 from repro.iosys.machine import MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR, IoSystem
+from repro.iosys.scheduler import fpt_write_read
 from repro.iosys.striping import StripeLayout
 
 NOSTS = 8
@@ -235,21 +236,6 @@ def test_mirroring_and_coding_are_mutually_exclusive_per_file():
 
 # -- end-to-end degraded reads -------------------------------------------------
 
-def _worker(ctx, nrec, base):
-    path = f"{base}.{ctx.rank:04d}"
-    ctx.iosys.set_stripe_count(path, 4)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, GROUP, j * GROUP)
-    yield from ctx.comm.barrier()
-    ctx.io.region("read")
-    for j in range(nrec * 4):
-        yield from ctx.io.pread(fd, STRIPE, j * STRIPE)
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _run(ec=(4, 1), failover=True, window=(0.10, 0.60), device=SICK,
          ntasks=4, nrec=3, seed=17):
     machine = MachineConfig.testbox(
@@ -274,7 +260,7 @@ def _run(ec=(4, 1), failover=True, window=(0.10, 0.60), device=SICK,
         **({"ec_k": ec[0], "ec_m": ec[1]} if ec else {}),
     )
     job = SimJob(machine, ntasks, seed=seed, placement="packed")
-    return job.run(_worker, nrec, "/scratch/ec")
+    return job.run(fpt_write_read, "/scratch/ec", nrec, GROUP, STRIPE, 4)
 
 
 def test_reconstruction_masks_the_stall():

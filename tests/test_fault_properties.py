@@ -29,7 +29,7 @@ from repro.iosys.faults import (
     FaultWindow,
 )
 from repro.iosys.machine import MachineConfig, MiB
-from repro.iosys.posix import O_CREAT, O_RDWR
+from repro.iosys.scheduler import shared_write
 
 N_OSTS = 8
 
@@ -125,21 +125,6 @@ NREC = 20
 NTASKS = 4
 
 
-def _writer(ctx, path):
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, ctx.machine.n_osts)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    base = ctx.rank * NREC * RECORD
-    for j in range(NREC):
-        yield from ctx.io.pwrite(fd, RECORD, base + j * RECORD)
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _simulate(stall_t0, stall_span, device, retry, seed):
     sched = FaultSchedule.of(
         FaultWindow(STALL, stall_t0, stall_t0 + stall_span, device=device)
@@ -155,7 +140,7 @@ def _simulate(stall_t0, stall_span, device, retry, seed):
         rpc_resend_interval=2.0,
     )
     job = SimJob(machine, NTASKS, seed=seed, placement="packed")
-    return job.run(_writer, "/scratch/prop.dat")
+    return job.run(shared_write, "/scratch/prop.dat", NREC, RECORD, N_OSTS)
 
 
 @given(

@@ -18,6 +18,7 @@ from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
 from repro.iosys.machine import MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR, IoSystem
 from repro.iosys.replication import ReplicatedLayout
+from repro.iosys.scheduler import fpt_write_read
 from repro.iosys.striping import StripeLayout
 
 NOSTS = 8
@@ -140,21 +141,6 @@ def test_set_replica_count_rejects_bad_values():
 
 # -- end-to-end failover behaviour ---------------------------------------------
 
-def _worker(ctx, nrec, base):
-    path = f"{base}.{ctx.rank:04d}"
-    ctx.iosys.set_stripe_count(path, 4)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, RECORD, j * RECORD)
-    yield from ctx.comm.barrier()
-    ctx.io.region("read")
-    for j in range(nrec):
-        yield from ctx.io.pread(fd, RECORD, j * RECORD)
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _run(k, failover=True, window=(0.0, 8.0), device=0, nrec=8, seed=5):
     machine = MachineConfig.testbox(
         n_osts=NOSTS,
@@ -174,7 +160,7 @@ def _run(k, failover=True, window=(0.0, 8.0), device=0, nrec=8, seed=5):
         failover_probe_interval=0.5,
     )
     job = SimJob(machine, 2, seed=seed, placement="packed")
-    return job.run(_worker, nrec, "/scratch/ft")
+    return job.run(fpt_write_read, "/scratch/ft", nrec, RECORD, RECORD, 4)
 
 
 def test_failover_steers_and_beats_ride_out():

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro.apps.harness import SimJob
 from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
 from repro.iosys.machine import MachineConfig, KiB, MiB
-from repro.iosys.posix import O_CREAT, O_RDWR
 from repro.iosys.replication import ReplicatedLayout
+from repro.iosys.scheduler import fpt_write_read
 from repro.iosys.striping import StripeLayout
 
 N_OSTS = 8
@@ -72,21 +72,6 @@ NREC = 10
 NTASKS = 4
 
 
-def _worker(ctx, base):
-    path = f"{base}.{ctx.rank:04d}"
-    ctx.iosys.set_stripe_count(path, 4)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
-    for j in range(NREC):
-        yield from ctx.io.pwrite(fd, RECORD, j * RECORD)
-    yield from ctx.comm.barrier()
-    ctx.io.region("read")
-    for j in range(NREC):
-        yield from ctx.io.pread(fd, RECORD, j * RECORD)
-    yield from ctx.io.close(fd)
-    return None
-
-
 def _simulate(k, failover, stall_t0, stall_span, device, seed):
     sched = FaultSchedule.of(
         FaultWindow(STALL, stall_t0, stall_t0 + stall_span, device=device)
@@ -109,7 +94,7 @@ def _simulate(k, failover, stall_t0, stall_span, device, seed):
         failover_probe_interval=0.5,
     )
     job = SimJob(machine, NTASKS, seed=seed, placement="packed")
-    return job.run(_worker, "/scratch/repprop")
+    return job.run(fpt_write_read, "/scratch/repprop", NREC, RECORD, RECORD, 4)
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Sweep runner: sharding, the CLI, and the store-identity acceptance gate.
+"""Sweep runner: dispatch order, the CLI, and the store-identity gate.
 
 The headline acceptance criterion lives here:
 ``test_parallel_sweep_store_identical_to_serial`` runs the experiments
@@ -21,7 +21,6 @@ from repro.sweep import (
     SweepTask,
     experiment_tasks,
     run_sweep,
-    shard_tasks,
 )
 from repro.sweep.__main__ import main as sweep_main
 
@@ -30,25 +29,41 @@ from repro.sweep.__main__ import main as sweep_main
 STAMP = "2026-01-01T00:00:00Z"
 
 
-# -- sharding ------------------------------------------------------------------
+# -- dispatch ------------------------------------------------------------------
 
-def test_shards_are_contiguous_balanced_and_complete():
-    shards = shard_tasks(10, 3)
-    assert [list(s) for s in shards] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+def test_ready_units_pop_longest_first_with_stable_ties():
+    import heapq
+
+    from repro.experiments import fig2_lln, fig6_gcrm
+    from repro.sweep import _Plan
+
+    plans = [_Plan(specs=fig2_lln.plan("tiny")),
+             _Plan(specs=fig6_gcrm.plan("tiny"))]
+    queued = set()
+    ready = [e for ti, p in enumerate(plans) for e in p.ready(ti, queued)]
+    heapq.heapify(ready)
+    order = [heapq.heappop(ready)[1] for _ in range(len(ready))]
+    # fig6's four equal-cost GCRM runs first, in plan order, then
+    # fig2's k-splits from the most transfers down
+    assert order == [(1, 0), (1, 1), (1, 2), (1, 3),
+                     (0, 3), (0, 2), (0, 1), (0, 0)]
 
 
-def test_more_workers_than_tasks_drops_empty_shards():
-    shards = shard_tasks(2, 8)
-    assert [list(s) for s in shards] == [[0], [1]]
+def test_more_workers_than_units_start_no_idle_workers():
+    results = run_sweep(
+        [SweepTask(kind="callable", name=f"{__name__}:_double",
+                   args={"x": i}) for i in range(2)],
+        workers=8,
+    )
+    assert [r.payload["doubled"] for r in results] == [0, 2]
+    assert {r.worker for r in results} <= {0, 1}
 
 
-def test_zero_tasks_yield_no_shards():
-    assert shard_tasks(0, 4) == []
+def test_zero_tasks_yield_no_results():
+    assert run_sweep([], workers=4) == []
 
 
 def test_invalid_worker_count_is_rejected():
-    with pytest.raises(SweepError):
-        shard_tasks(5, 0)
     with pytest.raises(SweepError):
         SweepRunner([], workers=0)
 
@@ -89,6 +104,22 @@ def test_bad_callable_path_is_a_recorded_failure():
     )
     assert results[0].ok is False
     assert "module:function" in results[0].error
+
+
+def _unpicklable():
+    return {"fn": lambda: None}
+
+
+def test_unpicklable_result_is_a_recorded_failure():
+    """A value that cannot cross the process boundary fails its task;
+    the sweep must not wait for a message that never comes."""
+    results = run_sweep(
+        [SweepTask(kind="callable", name=f"{__name__}:_unpicklable",
+                   args={})],
+        workers=1,
+    )
+    assert results[0].ok is False
+    assert "pickle" in results[0].error.lower()
 
 
 def test_ingest_task_backfills_loose_files(tmp_path):
@@ -138,7 +169,7 @@ def _payload_essence(res):
     serialisation the run_id hash sees -- which also sidesteps numpy
     array equality in experiment series."""
     payload = None if res.payload is None else canonical_json(res.payload)
-    return (res.index, res.task, res.ok, payload, res.error)
+    return (res.index, res.task, res.ok, payload, res.error, res.text)
 
 
 def test_parallel_sweep_store_identical_to_serial(tmp_path):

@@ -2,27 +2,37 @@
 
 Three guarantees, stated as properties rather than examples:
 
-1. ``shard_tasks`` is a true partition for ANY (n_tasks, workers) --
-   contiguous, complete, balanced, order-preserving;
-2. shard-count invariance: the ordered results of a sweep are a pure
-   function of the task list, never of the worker count;
-3. crash isolation: a worker that raises, or dies outright
-   (``os._exit``), yields recorded failures for its unreported tasks
-   while every other shard's tasks still succeed.
+1. the pull queue hands out every unit exactly once, longest first,
+   ties in task then plan order, and only once its needs are met;
+2. worker-count invariance: the ordered results of a sweep -- for
+   experiments the ``result_to_dict`` JSON, the ``main()`` text and the
+   store contents -- are a pure function of the task list, never of the
+   worker count;
+3. crash isolation: a unit that raises, or a worker that dies outright
+   (``os._exit``), fails only its own task while every other task
+   still succeeds.
 
 Worker processes cost real milliseconds, so the process-spawning
-properties keep ``max_examples`` low; the pure sharding maths runs the
-default budget.
+properties keep ``max_examples`` low; the pure queue-order property runs
+the default budget.
 """
 
 from __future__ import annotations
 
+import heapq
+import json
 import os
+import sqlite3
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sweep import SweepTask, run_sweep, shard_tasks
+from repro.apps.harness import SimSpec
+from repro.experiments import fig1_ior_modes
+from repro.store.schema import canonical_json
+from repro.sweep import (
+    SweepRunner, SweepTask, _Plan, experiment_tasks, run_sweep,
+)
 
 _HERE = __name__  # workers import helpers back out of this module
 
@@ -49,36 +59,50 @@ def _square_tasks(xs):
     ]
 
 
-# -- 1: sharding is a partition ------------------------------------------------
+# -- 1: the pull queue ---------------------------------------------------------
 
-@given(
-    n_tasks=st.integers(min_value=0, max_value=500),
-    workers=st.integers(min_value=1, max_value=64),
-)
-def test_shards_partition_the_index_space(n_tasks, workers):
-    shards = shard_tasks(n_tasks, workers)
-    flat = [i for shard in shards for i in shard]
-    # complete, ordered, no duplicates, no gaps
-    assert flat == list(range(n_tasks))
-    # never more shards than workers or tasks, none empty
-    assert len(shards) <= min(workers, n_tasks) if n_tasks else not shards
-    assert all(len(s) > 0 for s in shards)
-    # balanced: sizes differ by at most one
-    if shards:
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
+def _fake_spec(i, cost, needs=()):
+    return SimSpec("job", _square, None, 0, cost=float(cost),
+                   label=f"s{i}", needs=tuple(needs),
+                   bind=(lambda spec, *_: spec) if needs else None)
 
 
-@given(
-    n_tasks=st.integers(min_value=1, max_value=200),
-    workers=st.integers(min_value=1, max_value=32),
-)
-def test_shard_assignment_is_deterministic(n_tasks, workers):
-    """Which worker owns a task is a pure function of (n_tasks, workers)."""
-    assert shard_tasks(n_tasks, workers) == shard_tasks(n_tasks, workers)
+@given(costs=st.lists(st.integers(min_value=0, max_value=5), max_size=40))
+def test_pull_order_is_a_longest_first_permutation(costs):
+    """Every unit is queued once; pops come longest first, equal costs
+    in plan order."""
+    plan = _Plan(specs=[_fake_spec(i, c) for i, c in enumerate(costs)])
+    queued = set()
+    ready = plan.ready(0, queued)
+    assert plan.ready(0, queued) == []  # nothing is queued twice
+    heapq.heapify(ready)
+    order = [heapq.heappop(ready)[1][1] for _ in range(len(ready))]
+    assert sorted(order) == list(range(len(costs)))
+    assert order == sorted(range(len(costs)), key=lambda i: (-costs[i], i))
 
 
-# -- 2: shard-count invariance -------------------------------------------------
+@given(n=st.integers(min_value=2, max_value=12), data=st.data())
+def test_dependent_specs_wait_for_their_needs(n, data):
+    """A spec is queued only after every spec it needs has a summary."""
+    deps = [
+        sorted(data.draw(st.sets(st.integers(0, i - 1), max_size=2)))
+        if i else []
+        for i in range(n)
+    ]
+    plan = _Plan(specs=[
+        _fake_spec(i, 1, [f"s{d}" for d in deps[i]]) for i in range(n)
+    ])
+    queued = set()
+    ready = [key for _, key in plan.ready(0, queued)]
+    while ready:
+        _, si = ready.pop(0)
+        assert all(d in plan.done for d in deps[si])
+        plan.done[si] = {}
+        ready += [key for _, key in plan.ready(0, queued)]
+    assert sorted(plan.done) == list(range(n))
+
+
+# -- 2: worker-count invariance ---------------------------------------------
 
 @settings(
     max_examples=8, deadline=None,
@@ -120,13 +144,13 @@ def test_results_are_worker_count_invariant(xs, workers):
 )
 def test_raised_exceptions_do_not_sink_the_shard(prefix, suffix):
     """A task that raises is a recorded failure; tasks before AND after
-    it on the same shard still run."""
+    it on the same (only) worker still run."""
     tasks = (
         _square_tasks(prefix)
         + [SweepTask(kind="callable", name=f"{_HERE}:_poison", args={"x": 9})]
         + _square_tasks(suffix)
     )
-    results = run_sweep(tasks, workers=1)  # one shard holds them all
+    results = run_sweep(tasks, workers=1)  # one worker runs them all
     bad = results[len(prefix)]
     assert bad.ok is False
     assert "poisoned task 9" in bad.error
@@ -143,24 +167,92 @@ def test_raised_exceptions_do_not_sink_the_shard(prefix, suffix):
 )
 @given(n_other=st.integers(min_value=2, max_value=6))
 def test_dead_worker_is_isolated_and_reported(n_other):
-    """A worker that exits without cleanup takes down only its own
-    shard's unreported tasks; the sweep completes and all other shards'
-    results arrive intact."""
+    """A worker that exits without cleanup fails only the unit it was
+    running; a fresh worker takes its slot and every other task's
+    result arrives intact."""
     crash = SweepTask(kind="callable", name=f"{_HERE}:_hard_crash", args={"x": 0})
     others = _square_tasks(range(n_other))
-    # 2 workers -> contiguous shards: the crash task leads shard 0 and
-    # kills it; shard 1 must be untouched
     tasks = [crash] + others
-    shards = shard_tasks(len(tasks), 2)
     results = run_sweep(tasks, workers=2)
 
     assert len(results) == len(tasks)
-    dead_indices = set(shards[0])
-    for res in results:
-        if res.index in dead_indices:
-            assert res.ok is False
-            assert "worker 0" in res.error
-            assert "died" in res.error or "without reporting" in res.error
-        else:
-            assert res.ok, res.error
-            assert res.payload["squared"] == (res.index - 1) ** 2
+    assert results[0].ok is False
+    assert "died" in results[0].error
+    for res in results[1:]:
+        assert res.ok, res.error
+        assert res.payload["squared"] == (res.index - 1) ** 2
+
+
+# -- experiments: simulations are the unit of work ---------------------------
+
+#: one experiment per kind of plan: independent app runs (fig1, fig6),
+#: a spec that needs an earlier summary (faults) and a facility (selfheal)
+_EXPERIMENTS = ["fig1", "fig6", "faults", "selfheal"]
+STAMP = "2026-01-01T00:00:00Z"
+
+
+def _experiment_sweep(tmp_path, workers):
+    save = tmp_path / f"save{workers}"
+    db = tmp_path / f"store{workers}.sqlite"
+    results = SweepRunner(
+        experiment_tasks(_EXPERIMENTS, "tiny"), workers=workers,
+        store_path=str(db), save_dir=str(save), created_at=STAMP,
+    ).run()
+    assert all(r.ok for r in results), [r.error for r in results if not r.ok]
+    with sqlite3.connect(str(db)) as conn:
+        rows = sorted(r[1:] for r in conn.execute("SELECT * FROM runs"))
+    files = {p.name: p.read_bytes() for p in sorted(save.iterdir())}
+    return (
+        [(canonical_json(r.payload), r.text) for r in results], rows, files
+    )
+
+
+def test_experiment_sweep_is_worker_count_invariant(tmp_path):
+    """JSON, ``main()`` text, saved files and store rows are identical
+    for 1, 2 and 4 workers, and match the serial ``run()``."""
+    serial = _experiment_sweep(tmp_path, 1)
+    assert _experiment_sweep(tmp_path, 2) == serial
+    assert _experiment_sweep(tmp_path, 4) == serial
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.runner import result_to_dict
+
+    module = ALL_EXPERIMENTS["faults"]
+    direct = module.run("tiny")
+    assert serial[0][2] == (
+        canonical_json(result_to_dict(direct)),
+        module.main("tiny", result=direct),
+    )
+    assert len(serial[1]) == len(serial[2]) == len(_EXPERIMENTS)
+
+
+def _poisoned_summarise(kill):
+    real = fig1_ior_modes.summarise
+
+    def summarise(spec, res):
+        if spec.label == "scratch2":
+            if kill:
+                os._exit(3)
+            raise ValueError("poisoned spec scratch2")
+        return real(spec, res)
+
+    return summarise
+
+
+def test_poisoned_spec_fails_only_its_experiment(monkeypatch):
+    """A spec that raises -- or kills its worker -- fails its own
+    experiment; the other experiments' results equal a clean sweep's.
+    Workers are forked, so the patched ``summarise`` reaches them."""
+    tasks = experiment_tasks(["fig1", "fig2", "faults"], "tiny")
+    clean = run_sweep(tasks, workers=2)
+    for kill, message in ((False, "poisoned spec scratch2"), (True, "died")):
+        with monkeypatch.context() as m:
+            m.setattr(fig1_ior_modes, "summarise", _poisoned_summarise(kill))
+            results = run_sweep(tasks, workers=2)
+        assert results[0].ok is False
+        assert message in results[0].error
+        for got, want in zip(results[1:], clean[1:]):
+            assert got.ok, got.error
+            assert json.dumps(got.payload, sort_keys=True) == json.dumps(
+                want.payload, sort_keys=True
+            )
+            assert got.text == want.text

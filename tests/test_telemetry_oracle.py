@@ -37,39 +37,10 @@ from repro.ensembles.oracle import (
 from repro.iosys.faults import STALL, FaultSchedule, FaultWindow
 from repro.iosys.machine import MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR
+from repro.iosys.scheduler import fpt_write_read, shared_write
 
 SICK = 5
 SLOW = 3
-
-
-def _shared_writer(ctx, nrec, path):
-    if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
-        ctx.iosys.set_stripe_count(path, ctx.machine.n_osts)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-        yield from ctx.comm.barrier()
-    else:
-        yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    base = ctx.rank * nrec * MiB
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, MiB, base + j * MiB)
-    yield from ctx.io.close(fd)
-    return None
-
-
-def _fpt_worker(ctx, nrec, base):
-    path = f"{base}.{ctx.rank:04d}"
-    ctx.iosys.set_stripe_count(path, 4)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
-    for j in range(nrec):
-        yield from ctx.io.pwrite(fd, MiB, j * MiB)
-    yield from ctx.comm.barrier()
-    ctx.io.region("read")
-    for j in range(nrec):
-        yield from ctx.io.pread(fd, MiB, j * MiB)
-    yield from ctx.io.close(fd)
-    return None
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +57,9 @@ def stall_run():
         telemetry=True,
     )
     job = SimJob(machine, 8, seed=13, placement="packed")
-    return job.run(_shared_writer, 60, "/scratch/oracle.dat")
+    return job.run(
+        shared_write, "/scratch/oracle.dat", 60, MiB, machine.n_osts
+    )
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +70,9 @@ def healthy_run():
         discipline_weights={4: 1.0},
     ).with_overrides(client_retry=True, telemetry=True)
     job = SimJob(machine, 8, seed=13, placement="packed")
-    return job.run(_shared_writer, 60, "/scratch/oracle.dat")
+    return job.run(
+        shared_write, "/scratch/oracle.dat", 60, MiB, machine.n_osts
+    )
 
 
 def _mirror_machine(**extra):
@@ -136,11 +111,11 @@ def _read_phase_stall(res, device):
 def mirror_run():
     """2-way mirrored file-per-task records with a read-phase stall."""
     probe = SimJob(_mirror_machine(), 4, seed=17, placement="packed").run(
-        _fpt_worker, 12, "/scratch/mirror.dat"
+        fpt_write_read, "/scratch/mirror.dat", 12, MiB, MiB, 4
     )
     machine = _mirror_machine(faults=_read_phase_stall(probe, 2))
     job = SimJob(machine, 4, seed=17, placement="packed")
-    return job.run(_fpt_worker, 12, "/scratch/mirror.dat")
+    return job.run(fpt_write_read, "/scratch/mirror.dat", 12, MiB, MiB, 4)
 
 
 @pytest.fixture(scope="module")
