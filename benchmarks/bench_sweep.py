@@ -2,8 +2,9 @@
 
 Two questions a sweep user cares about:
 
-1. **Overhead** -- what does fork/queue/reassembly cost per task when the
-   tasks themselves are trivial?  (``test_sweep_dispatch_overhead``)
+1. **Overhead** -- what does fork/queue/reduce cost per task when the
+   simulations themselves are trivial?  (``test_sweep_dispatch_overhead``
+   runs stand-in experiments whose one spec returns at once.)
 2. **Scaling** -- does a real multi-experiment sweep actually go faster
    with workers, and by how much?  (``test_sweep_experiment_scaling``
    runs the same eight tiny-scale experiments serially and with
@@ -26,7 +27,10 @@ processes, so multi-round micro-timing would mostly measure the OS.
 import os
 import time
 
-from repro.sweep import SweepTask, experiment_tasks, run_sweep
+from repro.apps.harness import SimSpec
+from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.runner import ExperimentResult
+from repro.sweep import experiment_tasks, run_sweep
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -38,18 +42,39 @@ _EXPERIMENTS = [
 ]
 
 
-def _noop():
-    return {"ok": True}
+def _noop(config, seed):
+    return None
 
 
-def test_sweep_dispatch_overhead(run_once, benchmark):
-    """Per-task cost of the sweep machinery itself: 32 trivial callables
-    across ``WORKERS`` workers -- everything measured is fork + queue +
-    ordering overhead."""
-    tasks = [
-        SweepTask(kind="callable", name=f"{__name__}:_noop", args={})
-        for _ in range(32)
-    ]
+class _NoopExperiment:
+    """A stand-in experiment module: one spec that simulates nothing."""
+
+    @staticmethod
+    def plan(scale):
+        return [SimSpec("app", _noop, None, 0, cost=1.0, label="noop")]
+
+    @staticmethod
+    def summarise(spec, result):
+        return {}
+
+    @staticmethod
+    def reduce(scale, summaries):
+        return ExperimentResult("noop", scale, verdicts={"ran": True})
+
+    @staticmethod
+    def main(scale, result):
+        return "noop"
+
+
+def test_sweep_dispatch_overhead(run_once, benchmark, monkeypatch):
+    """Per-task cost of the sweep machinery itself: 32 stand-in
+    experiments of one empty spec each across ``WORKERS`` workers --
+    everything measured is fork + queue + reduce + ordering overhead.
+    Forked workers see the stand-ins registered here."""
+    names = [f"noop{i}" for i in range(32)]
+    for name in names:
+        monkeypatch.setitem(ALL_EXPERIMENTS, name, _NoopExperiment)
+    tasks = experiment_tasks(names, "tiny")
 
     def sweep():
         results = run_sweep(tasks, workers=WORKERS)

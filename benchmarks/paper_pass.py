@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Paper-pass wall time and peak RSS of ``repro sweep``, before and after.
+"""Paper-pass wall time and peak RSS of the experiment driver, before and
+after.
 
 Usage, from the repository root::
 
@@ -9,7 +10,9 @@ Usage, from the repository root::
         [--out benchmarks/results/BENCH_paper_pass.json]
 
 Each pair runs ``repro sweep <scale> --workers N --save DIR --store DB``
-once on the ``--before`` tree and once on this tree, for every worker
+(the same command as ``python -m repro.experiments``; the probe imports
+it from ``repro.sweep.__main__``, which every tree since the sweep runner
+has) once on the ``--before`` tree and once on this tree, for every worker
 count, in alternating order (pair 0 runs the before tree first, pair 1
 this tree first, ...), one process at a time.  A run records its wall
 time (interpreter start to exit, ``main()`` text discarded), the sweep
@@ -18,8 +21,10 @@ the workers are the parent's only children).
 
 It also checks what the sweep promises: every run, on either tree and
 for any worker count, saves the same ``EXP_*.json`` files and stores the
-same rows (minus ``seq``, ``run_id`` and ``created_at``, which differ
-from one invocation to the next); the exit status is 1 if not.
+same rows, minus the fields that differ from one invocation to the next:
+``seq``, ``run_id``, ``created_at`` and the two host timings, the
+``wall_time`` column and the ``wall_s`` metric in ``metrics_json``.  The
+exit status is 1 if they differ.
 
 The JSON follows the ``BENCH_*.json`` layout (one entry per tree and
 worker count, wall-time stats over the pairs, the raw runs in
@@ -83,12 +88,24 @@ def _sweep(tree: Path, scale: str, workers: int, out: Path) -> Dict[str, Any]:
     return run
 
 
+#: columns that differ between any two invocations
+_VOLATILE = ("seq", "run_id", "created_at", "wall_time")
+
+
 def _store_rows(db: Path) -> List[Any]:
     with sqlite3.connect(str(db)) as conn:
         cols = [r[1] for r in conn.execute("PRAGMA table_info(runs)")]
-        keep = [c for c in cols if c not in ("seq", "run_id", "created_at")]
+        keep = [c for c in cols if c not in _VOLATILE]
         rows = conn.execute(f"SELECT {', '.join(keep)} FROM runs").fetchall()
-    return sorted(rows)
+    metrics = keep.index("metrics_json")
+    out = []
+    for row in rows:
+        values = list(row)
+        timed = json.loads(values[metrics])
+        timed.pop("wall_s", None)
+        values[metrics] = json.dumps(timed, sort_keys=True)
+        out.append(tuple(values))
+    return sorted(out)
 
 
 def _same_files(a: Path, b: Path) -> bool:

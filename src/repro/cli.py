@@ -11,8 +11,8 @@
                                  [--victim NAME] [--machine NAME] ...
     python -m repro analyze      TRACE [--nranks N]
     python -m repro experiments  [paper|small|tiny] [fig1 ...]
-    python -m repro sweep        [paper|small|tiny] [fig1 ...]
                                  [--workers N] [--save DIR] [--store DB]
+    python -m repro sweep        (the same command as experiments)
     python -m repro store        ingest|report|regressions|query ...
 
 ``run-*`` commands simulate a workload, print the IPM report, and can
@@ -406,21 +406,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiments(args) -> int:
-    from .experiments.__main__ import main as exp_main
+    from .sweep.__main__ import main as experiments_main
 
-    return exp_main(args.args)
+    return experiments_main(args.args)
 
 
 def _cmd_store(args) -> int:
     from .store.__main__ import main as store_main
 
     return store_main(args.args)
-
-
-def _cmd_sweep(args) -> int:
-    from .sweep.__main__ import main as sweep_main
-
-    return sweep_main(args.args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,7 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nranks", type=int, default=None)
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("experiments", help="run the paper's figures")
+    p = sub.add_parser(
+        "experiments", aliases=["sweep"],
+        help="run the paper's experiments, their simulations spread over "
+             "worker processes",
+    )
     p.add_argument("args", nargs=argparse.REMAINDER)
     p.set_defaults(fn=_cmd_experiments)
 
@@ -495,14 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("args", nargs=argparse.REMAINDER)
     p.set_defaults(fn=_cmd_store)
-
-    p = sub.add_parser(
-        "sweep",
-        help="run fixed-seed experiments with their simulations spread "
-             "over worker processes",
-    )
-    p.add_argument("args", nargs=argparse.REMAINDER)
-    p.set_defaults(fn=_cmd_sweep)
     return parser
 
 

@@ -1,10 +1,12 @@
 """Experiment drivers: one module per paper figure (plus inline claims).
 
 Every module exposes ``run(scale=...) -> ExperimentResult`` and
-``main(scale=...) -> str`` (the printable rows/series).  Run them all:
+``main(scale=...) -> str`` (the printable rows/series).  Run them all,
+their simulations spread over worker processes by :mod:`repro.sweep`:
 
     python -m repro.experiments            # paper scale
     python -m repro.experiments small      # reduced scale
+    python -m repro.experiments tiny fig1 --workers 2 --save DIR --store DB
 """
 
 from . import (

@@ -91,22 +91,6 @@ class PageCache:
             for ev in waiters:
                 ev.succeed(None)
 
-    def schedule_writeback(self, task: int, nbytes: float, flush_fn) -> None:
-        """Arrange for ``nbytes`` of ``task``'s dirty pages to be flushed
-        after the writeback delay.  ``flush_fn(nbytes)`` must return an
-        event that completes when the bytes have drained (normally a node
-        channel transfer); pages are marked clean when it fires."""
-        if nbytes <= 0:
-            return
-
-        def _kick(_ev: Event) -> None:
-            self.flushes += 1
-            done = flush_fn(nbytes)
-            done.add_callback(lambda _e: self.mark_clean(task, nbytes))
-
-        tmo = self.engine.timeout(self.writeback_delay)
-        tmo.add_callback(_kick)
-
     def sync_event(self) -> Event:
         """An event that fires once the node has no dirty pages."""
         ev = self.engine.event()

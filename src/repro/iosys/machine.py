@@ -361,21 +361,6 @@ class MachineConfig:
                 taken = max(taken, frac)
         return 1.0 - taken
 
-    # -- derived quantities ------------------------------------------------------
-    def nodes_for(self, ntasks: int) -> int:
-        """Number of nodes a job of ``ntasks`` occupies (packed layout)."""
-        return (ntasks + self.tasks_per_node - 1) // self.tasks_per_node
-
-    def fair_share_per_task(self, ntasks: int) -> float:
-        """The paper's 'fair share' rate: aggregate bandwidth / tasks."""
-        return self.fs_bw / max(ntasks, 1)
-
-    def node_share(self, active_nodes: int) -> float:
-        """Quasi-static per-node share of the aggregate, client-capped."""
-        if active_nodes < 1:
-            active_nodes = 1
-        return min(self.client_bw, self.fs_bw / active_nodes)
-
     def with_overrides(self, **kwargs) -> "MachineConfig":
         """A copy with selected fields replaced (presets stay pristine)."""
         return replace(self, **kwargs)

@@ -7,9 +7,9 @@ is embarrassingly parallel at the level of single simulations.
 
 How a sweep runs:
 
-- **Plan in the parent.**  Each ``experiment`` task is split by its
-  module's ``plan(scale)`` into :class:`~repro.apps.harness.SimSpec`
-  values; ``callable`` and ``ingest`` tasks are one unit each.
+- **Plan in the parent.**  Each task names one experiment; its module's
+  ``plan(scale)`` splits it into :class:`~repro.apps.harness.SimSpec`
+  values, one unit of work each.
 - **Pull queue, longest first.**  Worker *processes* (one interpreter
   each, no shared simulation state) take one unit at a time: whenever a
   worker is idle the parent hands it the ready unit with the largest
@@ -18,49 +18,48 @@ How a sweep runs:
   summaries are back; the parent resolves it before handing it out.
 - **Ship summaries, reduce in the parent.**  A worker simulates one
   spec, runs the experiment's ``summarise`` and sends back only the
-  picklable summary.  As soon as every spec of an experiment is back,
-  the parent -- having first handed the idle workers new units -- calls
-  ``reduce`` with the summaries in plan order, renders ``main()`` and
-  drops the summaries.  At the end it writes ``--save`` files and
-  ``--store`` records in task order.
+  picklable summary, with the host seconds the two took.  As soon as
+  every spec of an experiment is back, the parent -- having first handed
+  the idle workers new units -- calls ``reduce`` with the summaries in
+  plan order, renders ``main()`` and drops the summaries.  At the end it
+  writes ``--save`` files and ``--store`` records in task order.
+
+A stored record's ``wall_time`` (and its ``wall_s`` metric) is the sum
+of its units' simulate + summarise seconds plus its ``reduce``: the
+host time a serial ``run()`` spends, read through
+:func:`repro.store.clock.host_seconds`.
 
 Guarantees, enforced by ``tests/test_sweep.py`` and the properties in
 ``tests/test_sweep_properties.py``:
 
 - **Deterministic ordering** -- ``SweepRunner.run()`` returns one
   :class:`SweepResult` per task, in task order, for any worker count.
-- **Worker-count invariance** -- payloads, ``main()`` text, saved files
-  and RunStore contents are identical for 1 and N workers: reduce sees
-  the same summaries in the same order, and every record carries the
-  parent's single ``created_at`` and ``wall_time=None``, so ``run_id``
-  is a pure content hash.  ``SweepResult.worker`` is diagnostic only.
+- **Worker-count invariance** -- payloads, ``main()`` text and saved
+  files are identical for 1 and N workers: reduce sees the same
+  summaries in the same order.  Store rows are identical too, apart from
+  the two timing fields (``wall_time`` and the ``wall_s`` metric, which
+  also feeds ``run_id``); every record carries the parent's single
+  ``created_at``.  ``SweepResult.worker`` is diagnostic only.
 - **Crash isolation** -- a unit that raises, or a worker that dies
   outright (segfault, ``os._exit``), fails only the unit in flight and
   so only the task it belongs to; the dead worker is replaced and every
   other task completes.
-
-Tasks come in three kinds:
-
-- ``experiment`` -- run ``repro.experiments`` module ``name`` at
-  ``scale``, one unit per planned simulation; optionally save the loose
-  ``EXP_*.json`` and ingest the result into a run store.
-- ``callable`` -- import ``name`` as ``"module:function"`` and call it
-  with ``args`` as keyword arguments (the generic escape hatch, also
-  what the crash-isolation tests poison).
-- ``ingest`` -- backfill ``args["paths"]`` (BENCH_*/EXP_* JSON) into the
-  run store.
 """
 
 from __future__ import annotations
 
 import heapq
-import importlib
 import pickle
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from queue import Empty
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..apps.harness import SimSpec
 
 __all__ = [
     "SweepError",
@@ -78,32 +77,25 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One independent unit of work.
+    """One experiment to run: ``name`` is a key of
+    :data:`repro.experiments.ALL_EXPERIMENTS`, ``scale`` one of
+    :data:`repro.experiments.SCALES`."""
 
-    ``kind`` is ``"experiment"``, ``"callable"``, or ``"ingest"``;
-    ``name`` is the experiment name, ``"module:function"`` path, or a
-    label for ingest tasks; ``scale`` applies to experiments only.
-    """
-
-    kind: str
     name: str
     scale: str = "paper"
-    args: Dict[str, Any] = field(default_factory=dict)
 
     def label(self) -> str:
-        if self.kind == "experiment":
-            return f"{self.name}@{self.scale}"
-        return f"{self.kind}:{self.name}"
+        return f"{self.name}@{self.scale}"
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of one task: ``payload`` on success (the experiment's
-    ``result_to_dict`` output, the callable's return value, or ingest
-    stats), ``error`` (a traceback or crash description) on failure.
-    ``text`` is an experiment's ``main()`` rendering.  ``worker``
-    records which worker finished the task's last unit (diagnostic only
-    -- it varies with worker count; everything else must not)."""
+    """Outcome of one task: ``payload`` (the experiment's
+    ``result_to_dict`` output) and ``text`` (its ``main()`` rendering)
+    on success, ``error`` (a traceback or crash description) on failure.
+    ``worker`` records which worker finished the task's last unit
+    (diagnostic only -- it varies with worker count; everything else
+    must not)."""
 
     task: SweepTask
     index: int
@@ -129,85 +121,38 @@ def experiment_tasks(
             f"unknown experiment(s) {unknown!r}; "
             f"known: {', '.join(ALL_EXPERIMENTS)}"
         )
-    return [SweepTask(kind="experiment", name=n, scale=scale) for n in chosen]
+    return [SweepTask(name=n, scale=scale) for n in chosen]
 
 
-def _resolve_callable(path: str) -> Any:
-    module_name, sep, fn_name = path.partition(":")
-    if not sep or not module_name or not fn_name:
-        raise SweepError(
-            f"callable task name must be 'module:function', got {path!r}"
-        )
-    module = importlib.import_module(module_name)
-    try:
-        return getattr(module, fn_name)
-    except AttributeError as exc:
-        raise SweepError(f"no {fn_name!r} in module {module_name!r}") from exc
-
-
-#: a unit of work: ``(task index, spec index)``; spec index -1 marks a
-#: whole callable/ingest task
+#: a unit of work: ``(task index, spec index)``
 Key = Tuple[int, int]
 
 
-def _run_unit(
-    task: SweepTask, spec: Any, store_path: Optional[str], created_at: str
-) -> Any:
-    """Execute one unit (in a worker process) and return what it ships
-    back: an experiment spec's summary, or a task's payload."""
-    if task.kind == "experiment":
-        from ..apps.harness import simulate
-        from ..experiments import ALL_EXPERIMENTS
-
-        return ALL_EXPERIMENTS[task.name].summarise(spec, simulate(spec))
-    if task.kind == "callable":
-        fn = _resolve_callable(task.name)
-        out = fn(**dict(task.args))
-        if isinstance(out, dict):
-            return {str(k): v for k, v in out.items()}
-        return {"value": out}
-    if task.kind == "ingest":
-        if store_path is None:
-            raise SweepError("ingest tasks need a --store destination")
-        from ..store import RunStore
-        from ..store.ingest import ingest_paths
-
-        with RunStore(store_path) as store:
-            stats = ingest_paths(
-                store, list(task.args.get("paths", ())),
-                created_at=created_at,
-            )
-        return {
-            "files": stats.files,
-            "inserted": stats.inserted,
-            "duplicates": stats.duplicates,
-        }
-    raise SweepError(f"unknown task kind {task.kind!r}")
-
-
-def _worker_main(
-    worker: int,
-    inbox: Any,
-    outbox: Any,
-    created_at: str,
-    store_path: Optional[str],
-) -> None:
-    """Worker entry point: run the units the parent hands over, one at a
-    time, until it sends ``None``.
+def _worker_main(worker: int, inbox: Any, outbox: Any) -> None:
+    """Worker entry point: simulate and summarise the specs the parent
+    hands over, one at a time, until it sends ``None``; each summary
+    goes back with the host seconds it took.
 
     A unit's exception is reported as a failure and the worker carries
     on -- only a hard crash ends it early, and the parent notices by the
     process being gone.
     """
+    from ..apps.harness import simulate
+    from ..experiments import ALL_EXPERIMENTS
+    from ..store.clock import host_seconds
+
     while True:
         unit = inbox.get()
         if unit is None:
             return
-        key, task, spec = unit
+        key, name, spec = unit
         try:
+            t0 = host_seconds()
+            summary = ALL_EXPERIMENTS[name].summarise(spec, simulate(spec))
+            seconds = host_seconds() - t0
             # pickled here, so a value that cannot cross the process
             # boundary fails its unit instead of the queue's feeder
-            value = pickle.dumps(_run_unit(task, spec, store_path, created_at))
+            value = pickle.dumps((summary, seconds))
         except BaseException:  # noqa: BLE001 - report, keep serving
             outbox.put((worker, key, False, None, traceback.format_exc()))
         else:
@@ -221,13 +166,14 @@ _POLL_S = 0.2
 
 @dataclass
 class _Plan:
-    """One task's units and what has come back for them: an experiment
-    has one unit per planned spec, any other task a single ``None``."""
+    """One task's specs and the summaries that have come back for them."""
 
-    specs: List[Any]
+    specs: List["SimSpec"]
     done: Dict[int, Any] = field(default_factory=dict)
     error: Optional[str] = None
     worker: int = -1
+    #: host seconds of the units back so far, then plus the reduce
+    wall: float = 0.0
     #: the task's payload and ``main()`` text once it is complete
     payload: Optional[Dict[str, Any]] = None
     text: Optional[str] = None
@@ -240,36 +186,30 @@ class _Plan:
         are all summarised; dependent specs are resolved on the way."""
         if self.error is not None:
             return []
-        labels = {spec.label: si for si, spec in enumerate(self.specs)
-                  if spec is not None}
+        labels = {spec.label: si for si, spec in enumerate(self.specs)}
         entries = []
         for si, spec in enumerate(self.specs):
-            needs = () if spec is None else spec.needs
             if (ti, si) in queued or not all(
-                labels[n] in self.done for n in needs
+                labels[n] in self.done for n in spec.needs
             ):
                 continue
-            if needs:
+            if spec.needs:
                 self.specs[si] = spec.resolve(
-                    {n: self.done[labels[n]] for n in needs}
+                    {n: self.done[labels[n]] for n in spec.needs}
                 )
             queued.add((ti, si))
-            cost = 0.0 if spec is None else float(spec.cost)
             # longest first; ties in task, then plan order
-            entries.append((-cost, (ti, si)))
+            entries.append((-float(spec.cost), (ti, si)))
         return entries
 
 
 class _Worker:
     """One worker process and the inbox the parent feeds it through."""
 
-    def __init__(self, ctx: Any, wid: int, outbox: Any,
-                 created_at: str, store_path: Optional[str]) -> None:
+    def __init__(self, ctx: Any, wid: int, outbox: Any) -> None:
         self.inbox = ctx.Queue()
         self.proc = ctx.Process(
-            target=_worker_main,
-            args=(wid, self.inbox, outbox, created_at, store_path),
-            daemon=True,
+            target=_worker_main, args=(wid, self.inbox, outbox), daemon=True,
         )
         self.proc.start()
         self.dead_polls = 0
@@ -278,9 +218,9 @@ class _Worker:
 class SweepRunner:
     """Run ``tasks`` on ``workers`` processes and collect results.
 
-    ``store_path``/``save_dir`` receive experiment results (written by
-    the parent, in task order) and ingest tasks' records; ``created_at``
-    is the single timestamp stamped on every store record (pass
+    ``save_dir``/``store_path`` receive the experiment results (written
+    by the parent, in task order); ``created_at`` is the single
+    timestamp stamped on every store record (pass
     :func:`repro.store.clock.utc_stamp` output from the CLI; tests pass
     a constant).  ``run()`` may be called once per instance.
     """
@@ -316,8 +256,6 @@ class SweepRunner:
 
     # -- the three stages ---------------------------------------------------
     def _plan(self, task: SweepTask) -> _Plan:
-        if task.kind != "experiment":
-            return _Plan(specs=[None])
         from ..experiments import ALL_EXPERIMENTS
 
         try:
@@ -348,8 +286,7 @@ class SweepRunner:
         # every worker starts before the parent's first put spawns a queue
         # feeder thread: forking a threaded process risks a deadlock
         workers = {
-            wid: _Worker(ctx, wid, outbox, self.created_at, self.store_path)
-            for wid in range(n_workers)
+            wid: _Worker(ctx, wid, outbox) for wid in range(n_workers)
         }
         idle = list(range(n_workers))
         inflight: Dict[int, Key] = {}
@@ -362,12 +299,9 @@ class SweepRunner:
                         continue  # its task already failed
                     wid = idle.pop(0)
                     if wid not in workers:  # replaces a dead worker
-                        workers[wid] = _Worker(
-                            ctx, wid, outbox, self.created_at,
-                            self.store_path,
-                        )
+                        workers[wid] = _Worker(ctx, wid, outbox)
                     workers[wid].inbox.put(
-                        ((ti, si), self.tasks[ti], plans[ti].specs[si])
+                        ((ti, si), self.tasks[ti].name, plans[ti].specs[si])
                     )
                     inflight[wid] = (ti, si)
                 # reduce while the workers simulate, after handing them
@@ -393,7 +327,8 @@ class SweepRunner:
                     if plan.error is None:
                         plan.error = error
                     continue
-                plan.done[si] = pickle.loads(value)
+                plan.done[si], seconds = pickle.loads(value)
+                plan.wall += seconds
                 for entry in plan.ready(ti, queued):
                     heapq.heappush(ready, entry)
                 if plan.complete():
@@ -424,12 +359,11 @@ class SweepRunner:
             if worker.dead_polls < 2:
                 continue
             ti, si = inflight.pop(wid)
-            spec = plans[ti].specs[si]
-            unit = "" if spec is None else f" spec {spec.label!r} of"
             if plans[ti].error is None:
                 plans[ti].error = (
                     f"worker {wid} died (exitcode {worker.proc.exitcode}) "
-                    f"while running{unit} {self.tasks[ti].label()}"
+                    f"while running spec {plans[ti].specs[si].label!r} of "
+                    f"{self.tasks[ti].label()}"
                 )
             plans[ti].worker = wid
             del workers[wid]  # a fresh worker takes the slot on demand
@@ -437,67 +371,59 @@ class SweepRunner:
             idle.sort()
 
     def _reduce(self, ti: int, plans: List[_Plan]) -> None:
-        """Turn task ``ti``'s completed units into its payload (and, for
-        an experiment, its ``main()`` text), freeing the summaries."""
-        task, plan = self.tasks[ti], plans[ti]
-        if task.kind != "experiment":
-            plan.payload = plan.done.pop(0)
-            return
+        """Turn task ``ti``'s summaries into its payload and ``main()``
+        text, adding the reduce's host seconds to its wall time and
+        freeing the summaries."""
         from ..experiments import ALL_EXPERIMENTS
         from ..experiments.runner import result_to_dict
+        from ..store.clock import host_seconds
 
+        task, plan = self.tasks[ti], plans[ti]
         module = ALL_EXPERIMENTS[task.name]
         summaries = {
             spec.label: plan.done[si] for si, spec in enumerate(plan.specs)
         }
         plan.done.clear()
         try:
+            t0 = host_seconds()
             result = module.reduce(task.scale, summaries)
+            plan.wall += host_seconds() - t0
             plan.payload = result_to_dict(result)
             plan.text = module.main(task.scale, result=result)
         except Exception:  # noqa: BLE001 - fails this task only
             plan.error = traceback.format_exc()
 
     def _collect(self, plans: List[_Plan]) -> List[SweepResult]:
-        """Save, store and report each task, in task order."""
-        store = None
-        if self.store_path is not None and any(
-            t.kind == "experiment" for t in self.tasks
-        ):
-            from ..store import RunStore
+        """Save, store and report each task, in task order: the one
+        place experiment results reach a loose file or the run store."""
+        from ..experiments.runner import save_payload
+        from ..store import RunStore, record_from_experiment_dict
 
-            store = RunStore(self.store_path)
+        store = None if self.store_path is None else RunStore(self.store_path)
+        results: List[SweepResult] = []
         try:
-            return [
-                self._finish(ti, task, plans[ti], store)
-                for ti, task in enumerate(self.tasks)
-            ]
+            for ti, (task, plan) in enumerate(zip(self.tasks, plans)):
+                if plan.error is not None or plan.payload is None:
+                    results.append(SweepResult(
+                        task=task, index=ti, ok=False,
+                        error=plan.error, worker=plan.worker,
+                    ))
+                    continue
+                if self.save_dir:
+                    save_payload(plan.payload, self.save_dir)
+                if store is not None:
+                    store.put(record_from_experiment_dict(
+                        plan.payload, wall_time=plan.wall,
+                        created_at=self.created_at,
+                    ))
+                results.append(SweepResult(
+                    task=task, index=ti, ok=True, payload=plan.payload,
+                    worker=plan.worker, text=plan.text,
+                ))
         finally:
             if store is not None:
                 store.close()
-
-    def _finish(
-        self, ti: int, task: SweepTask, plan: _Plan, store: Any
-    ) -> SweepResult:
-        if plan.error is not None:
-            return SweepResult(task=task, index=ti, ok=False,
-                               error=plan.error, worker=plan.worker)
-        if task.kind == "experiment" and plan.payload is not None:
-            from ..experiments.runner import save_payload
-
-            if self.save_dir:
-                save_payload(plan.payload, self.save_dir)
-            if store is not None:
-                from ..store.capture import record_from_experiment_dict
-
-                # wall_time deliberately omitted and created_at fixed by
-                # the parent: the record must hash identically on every
-                # worker layout for the store-identity guarantee
-                store.put(record_from_experiment_dict(
-                    plan.payload, wall_time=None, created_at=self.created_at
-                ))
-        return SweepResult(task=task, index=ti, ok=True, payload=plan.payload,
-                           worker=plan.worker, text=plan.text)
+        return results
 
 
 def run_sweep(

@@ -1,17 +1,22 @@
-"""Run fixed-seed experiments with their simulations spread over
+"""Run the paper's fixed-seed experiments, their simulations spread over
 worker processes.
 
 Usage::
 
-    python -m repro.sweep [paper|small|tiny] [fig1 fig2 ...]
-                          [--workers N] [--save DIR] [--store DB]
+    python -m repro.experiments [paper|small|tiny] [fig1 fig2 ...]
+                                [--workers N] [--save DIR] [--store DB]
 
-Selectors mirror ``python -m repro.experiments``: a scale and/or
-experiment names (all experiments when none given).  Workers pull single
-simulations, longest first; the parent reduces each experiment and
-prints its ``main()`` text in task order, byte-identical for any worker
-count.  The exit status is non-zero if any task failed -- a crashed
-worker is a recorded failure, not a hung sweep.
+``python -m repro.sweep``, ``repro experiments`` and ``repro sweep``
+are the same command.  Selectors are a scale and/or experiment names
+(all experiments when none given).  Workers pull single simulations,
+longest first; the parent reduces each experiment and prints its
+``main()`` text and an ``ok``/``FAIL`` status line in task order.
+``--save DIR`` writes each result to ``DIR/EXP_<experiment>_<scale>.json``
+and ``--store DB`` persists it as a run-store record whose ``wall_time``
+is the host time its simulations and reduce took.  The ``main()``
+text and the saved files are byte-identical for any worker count.  The
+exit status is non-zero if any experiment failed -- a crashed worker is
+a recorded failure, not a hung sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     from ..experiments.runner import SCALES
 
     parser = argparse.ArgumentParser(
-        prog="repro sweep", description=__doc__,
+        prog="repro experiments", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -75,8 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     created_at = ""
     if args.store:
-        # the one wall-clock read: a single parent-side stamp shared by
-        # every worker so store contents are worker-count invariant
+        # one stamp for the whole pass, shared by every record
         from ..store.clock import utc_stamp
 
         created_at = utc_stamp()

@@ -13,9 +13,11 @@ Two families:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.harness import SimJob
@@ -126,8 +128,13 @@ NTASKS = 4
 
 
 def _simulate(stall_t0, stall_span, device, retry, seed):
+    """The shared-file write with one OST stalled over
+    ``[stall_t0, stall_t0 + stall_span)``, or healthy when ``stall_t0``
+    is None."""
     sched = FaultSchedule.of(
-        FaultWindow(STALL, stall_t0, stall_t0 + stall_span, device=device)
+        *(() if stall_t0 is None else (
+            FaultWindow(STALL, stall_t0, stall_t0 + stall_span, device=device),
+        ))
     )
     machine = MachineConfig.testbox(
         n_osts=N_OSTS, fs_bw=1024 * MiB, discipline_weights={4: 1.0}
@@ -143,22 +150,36 @@ def _simulate(stall_t0, stall_span, device, retry, seed):
     return job.run(shared_write, "/scratch/prop.dat", NREC, RECORD, N_OSTS)
 
 
+@lru_cache(maxsize=None)
+def _healthy_elapsed():
+    """How long the write takes without a fault (testbox has no noise,
+    so the seed does not matter)."""
+    return _simulate(None, 0.0, 0, False, 0).elapsed
+
+
 @given(
-    stall_t0=st.floats(0.0, 1.0, allow_nan=False),
+    onset=st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
     stall_span=st.floats(0.05, 1.5, allow_nan=False),
     device=st.integers(0, N_OSTS - 1),
     retry=st.booleans(),
     seed=st.integers(0, 1000),
 )
+# a stall from t=0 must meet the writes, with and without client retry
+@example(onset=0.0, stall_span=0.05, device=0, retry=True, seed=1)
+@example(onset=0.0, stall_span=1.5, device=N_OSTS - 1, retry=False, seed=3)
 @settings(
     max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_bytes_conserved_and_time_monotone(
-    stall_t0, stall_span, device, retry, seed
+    onset, stall_span, device, retry, seed
 ):
+    # the stall starts inside the healthy run, as a fraction of its span
+    stall_t0 = onset * _healthy_elapsed()
     res = _simulate(stall_t0, stall_span, device, retry, seed)
+    if onset == 0.0:
+        assert res.meta["retries"] > 0
     # every payload byte lands exactly once, however many resends happened
     assert res.total_bytes == NTASKS * NREC * RECORD
     assert res.iosys.total_bytes_written() == NTASKS * NREC * RECORD

@@ -199,21 +199,6 @@ class TestPageCache:
         ev = cache.sync_event()
         assert ev.triggered
 
-    def test_schedule_writeback_marks_clean_after_flush(self):
-        eng, cache = self.make(quota=100)
-        cache.absorb(0, 80)
-        flushed = []
-
-        def flush_fn(nbytes):
-            flushed.append(nbytes)
-            return eng.timeout(2.0)
-
-        cache.schedule_writeback(0, 80, flush_fn)
-        eng.run()
-        assert flushed == [80]
-        assert cache.dirty == 0
-        assert eng.now == pytest.approx(3.0)  # 1.0 delay + 2.0 flush
-
     def test_bad_parameters_rejected(self):
         eng = Engine()
         with pytest.raises(ValueError):

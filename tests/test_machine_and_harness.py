@@ -36,23 +36,6 @@ class TestMachineConfig:
         assert a.fs_bw != b.fs_bw
         assert MachineConfig.franklin().fs_bw == a.fs_bw
 
-    def test_fair_share_arithmetic(self):
-        f = MachineConfig.franklin()
-        # the paper: ~16 MB/s fair share for 1024 tasks of a 16 GB/s system
-        assert f.fair_share_per_task(1024) == pytest.approx(16 * MiB)
-
-    def test_node_share_capped_by_client(self):
-        f = MachineConfig.franklin()
-        assert f.node_share(1) == f.client_bw
-        assert f.node_share(1024) == pytest.approx(f.fs_bw / 1024)
-        assert f.node_share(0) == f.node_share(1)
-
-    def test_nodes_for_rounds_up(self):
-        f = MachineConfig.franklin()
-        assert f.nodes_for(1) == 1
-        assert f.nodes_for(4) == 1
-        assert f.nodes_for(5) == 2
-
     def test_validation_rejects_bad_values(self):
         with pytest.raises(ValueError):
             MachineConfig(tasks_per_node=0)

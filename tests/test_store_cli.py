@@ -148,7 +148,10 @@ def test_experiments_save_and_store_single_run(db, tmp_path, capsys):
     assert experiments_main(["tiny", "faults", "--save", str(out_dir),
                              "--store", db]) == 0
     text = capsys.readouterr().out
-    assert "saved:" in text and "stored:" in text
+    status = [ln for ln in text.splitlines() if ln.startswith("ok   ")]
+    assert len(status) == 1
+    assert status[0].startswith("ok   faults@tiny [worker ")
+    assert status[0].endswith("] verdicts=ok")
 
     path = out_dir / "EXP_faults_tiny.json"
     data = json.loads(path.read_text())
@@ -171,4 +174,4 @@ def test_experiments_save_and_store_single_run(db, tmp_path, capsys):
 
 def test_experiments_unknown_arg_exits_2(capsys):
     assert experiments_main(["no-such-experiment"]) == 2
-    assert "unknown argument" in capsys.readouterr().err
+    assert "unknown experiment" in capsys.readouterr().err

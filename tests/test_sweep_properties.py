@@ -4,17 +4,19 @@ Three guarantees, stated as properties rather than examples:
 
 1. the pull queue hands out every unit exactly once, longest first,
    ties in task then plan order, and only once its needs are met;
-2. worker-count invariance: the ordered results of a sweep -- for
-   experiments the ``result_to_dict`` JSON, the ``main()`` text and the
-   store contents -- are a pure function of the task list, never of the
-   worker count;
+2. worker-count invariance: the ordered results of a sweep -- the
+   ``result_to_dict`` JSON, the ``main()`` text, the saved files and,
+   with the host clock pinned, the store contents -- are a pure function
+   of the task list, never of the worker count;
 3. crash isolation: a unit that raises, or a worker that dies outright
    (``os._exit``), fails only its own task while every other task
    still succeeds.
 
 Worker processes cost real milliseconds, so the process-spawning
-properties keep ``max_examples`` low; the pure queue-order property runs
-the default budget.
+properties keep ``max_examples`` low and, apart from the real-experiment
+checks at the end, run stand-in experiments of trivial simulations
+(``tests/sweep_fakes.py``); the pure queue-order property runs the
+default budget.
 """
 
 from __future__ import annotations
@@ -29,40 +31,18 @@ from hypothesis import strategies as st
 
 from repro.apps.harness import SimSpec
 from repro.experiments import fig1_ior_modes
+from repro.store import clock
 from repro.store.schema import canonical_json
-from repro.sweep import (
-    SweepRunner, SweepTask, _Plan, experiment_tasks, run_sweep,
+from repro.sweep import SweepRunner, _Plan, experiment_tasks, run_sweep
+from tests.sweep_fakes import (
+    FakeExperiment, fake_experiments, hard_crash, poison, square, squares,
 )
-
-_HERE = __name__  # workers import helpers back out of this module
-
-
-# -- helpers run inside worker processes ---------------------------------------
-
-def _square(x):
-    return {"squared": x * x}
-
-
-def _poison(x):
-    raise ValueError(f"poisoned task {x}")
-
-
-def _hard_crash(x):
-    # simulate a segfault: no exception, no cleanup, no sentinel
-    os._exit(3)
-
-
-def _square_tasks(xs):
-    return [
-        SweepTask(kind="callable", name=f"{_HERE}:_square", args={"x": x})
-        for x in xs
-    ]
 
 
 # -- 1: the pull queue ---------------------------------------------------------
 
 def _fake_spec(i, cost, needs=()):
-    return SimSpec("job", _square, None, 0, cost=float(cost),
+    return SimSpec("job", square, None, 0, cost=float(cost),
                    label=f"s{i}", needs=tuple(needs),
                    bind=(lambda spec, *_: spec) if needs else None)
 
@@ -117,15 +97,18 @@ def test_dependent_specs_wait_for_their_needs(n, data):
 def test_results_are_worker_count_invariant(xs, workers):
     """1 worker and N workers produce identical ordered results (modulo
     the diagnostic ``worker`` field)."""
-    tasks = _square_tasks(xs)
-    serial = run_sweep(tasks, workers=1)
-    parallel = run_sweep(tasks, workers=workers)
+    with fake_experiments(*squares(xs)) as tasks:
+        serial = run_sweep(tasks, workers=1)
+        parallel = run_sweep(tasks, workers=workers)
 
     def essence(results):
-        return [(r.index, r.task, r.ok, r.payload, r.error) for r in results]
+        return [(r.index, r.task, r.ok, canonical_json(r.payload), r.error,
+                 r.text) for r in results]
 
     assert essence(serial) == essence(parallel)
-    assert [r.payload["squared"] for r in parallel] == [x * x for x in xs]
+    assert [r.payload["series"]["values"] for r in parallel] == [
+        [x * x] for x in xs
+    ]
 
 
 # -- 3: crash isolation --------------------------------------------------------
@@ -145,19 +128,20 @@ def test_results_are_worker_count_invariant(xs, workers):
 def test_raised_exceptions_do_not_sink_the_shard(prefix, suffix):
     """A task that raises is a recorded failure; tasks before AND after
     it on the same (only) worker still run."""
-    tasks = (
-        _square_tasks(prefix)
-        + [SweepTask(kind="callable", name=f"{_HERE}:_poison", args={"x": 9})]
-        + _square_tasks(suffix)
+    fakes = (
+        squares(prefix, prefix="pre")
+        + [FakeExperiment("bad", [9], poison)]
+        + squares(suffix, prefix="post")
     )
-    results = run_sweep(tasks, workers=1)  # one worker runs them all
+    with fake_experiments(*fakes) as tasks:
+        results = run_sweep(tasks, workers=1)  # one worker runs them all
     bad = results[len(prefix)]
     assert bad.ok is False
     assert "poisoned task 9" in bad.error
     good = results[: len(prefix)] + results[len(prefix) + 1:]
     assert all(r.ok for r in good)
-    assert [r.payload["squared"] for r in good] == [
-        x * x for x in prefix + suffix
+    assert [r.payload["series"]["values"] for r in good] == [
+        [x * x] for x in prefix + suffix
     ]
 
 
@@ -170,17 +154,18 @@ def test_dead_worker_is_isolated_and_reported(n_other):
     """A worker that exits without cleanup fails only the unit it was
     running; a fresh worker takes its slot and every other task's
     result arrives intact."""
-    crash = SweepTask(kind="callable", name=f"{_HERE}:_hard_crash", args={"x": 0})
-    others = _square_tasks(range(n_other))
-    tasks = [crash] + others
-    results = run_sweep(tasks, workers=2)
+    fakes = [FakeExperiment("crash", [0], hard_crash)] + squares(
+        range(n_other)
+    )
+    with fake_experiments(*fakes) as tasks:
+        results = run_sweep(tasks, workers=2)
 
     assert len(results) == len(tasks)
     assert results[0].ok is False
     assert "died" in results[0].error
     for res in results[1:]:
         assert res.ok, res.error
-        assert res.payload["squared"] == (res.index - 1) ** 2
+        assert res.payload["series"]["values"] == [(res.index - 1) ** 2]
 
 
 # -- experiments: simulations are the unit of work ---------------------------
@@ -207,9 +192,12 @@ def _experiment_sweep(tmp_path, workers):
     )
 
 
-def test_experiment_sweep_is_worker_count_invariant(tmp_path):
+def test_experiment_sweep_is_worker_count_invariant(tmp_path, monkeypatch):
     """JSON, ``main()`` text, saved files and store rows are identical
-    for 1, 2 and 4 workers, and match the serial ``run()``."""
+    for 1, 2 and 4 workers, and match the serial ``run()``.  The host
+    clock is pinned, as ``STAMP`` pins ``created_at``: real timings make
+    ``wall_time`` and the ``wall_s`` metric differ from run to run."""
+    monkeypatch.setattr(clock, "host_seconds", lambda: 0.0)
     serial = _experiment_sweep(tmp_path, 1)
     assert _experiment_sweep(tmp_path, 2) == serial
     assert _experiment_sweep(tmp_path, 4) == serial
