@@ -405,16 +405,25 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_experiments(args) -> int:
+def _cmd_experiments(argv: List[str]) -> int:
     from .sweep.__main__ import main as experiments_main
 
-    return experiments_main(args.args)
+    return experiments_main(argv)
 
 
-def _cmd_store(args) -> int:
+def _cmd_store(argv: List[str]) -> int:
     from .store.__main__ import main as store_main
 
-    return store_main(args.args)
+    return store_main(argv)
+
+
+#: subcommands with their own parser: everything after the name, ``--help``
+#: and leading options included, goes to it untouched
+_DELEGATED = {
+    "experiments": _cmd_experiments,
+    "sweep": _cmd_experiments,
+    "store": _cmd_store,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,24 +488,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nranks", type=int, default=None)
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser(
+    # listed for ``repro --help`` only: main() hands their arguments to
+    # the delegated parsers before this one parses anything
+    sub.add_parser(
         "experiments", aliases=["sweep"],
         help="run the paper's experiments, their simulations spread over "
              "worker processes",
     )
-    p.add_argument("args", nargs=argparse.REMAINDER)
-    p.set_defaults(fn=_cmd_experiments)
-
-    p = sub.add_parser(
+    sub.add_parser(
         "store",
         help="run-store verbs: ingest | report | regressions | query",
     )
-    p.add_argument("args", nargs=argparse.REMAINDER)
-    p.set_defaults(fn=_cmd_store)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _DELEGATED:
+        return _DELEGATED[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

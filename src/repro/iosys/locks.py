@@ -11,25 +11,39 @@ serialisation).
 The tracker keeps, per stripe, the last writing client, and charges a
 revocation for every ownership change.  Granularity is one stripe, which is
 exactly Lustre's unit of server-side ownership for the patterns studied
-here.
+here.  Ownership is a dense table indexed by stripe (``-1`` = unowned), so
+it grows to the highest stripe written; a wide write whose stripes are all
+unowned or already the writer's is one slice grant, whatever its width.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional
 
 from .striping import StripeLayout
 
 __all__ = ["ExtentLockTracker"]
 
 
+#: Writes spanning fewer stripes than this walk every stripe.  Below it
+#: slicing the table and counting owners costs more than the walk it
+#: saves (GCRM's records span 1-3 stripes); the two break even near 8
+#: stripes, in an alternating microbenchmark of 3..8-stripe aligned and
+#: 1.5..19 MB unaligned writes on 1 MiB stripes (CPython 3.11).
+_SLICE_MIN_STRIPES = 8
+
+#: owner-table entry of a stripe nobody has written
+_FREE = -1
+
+
 class ExtentLockTracker:
-    """Stripe-ownership bookkeeping for one file."""
+    """Stripe-ownership bookkeeping for one file.  Client ids are
+    non-negative (``-1`` marks an unowned stripe)."""
 
     def __init__(self, revoke_cost: float):
         self.revoke_cost = float(revoke_cost)
-        #: stripe index -> client (node) id of last writer
-        self._owner: Dict[int, int] = {}
+        #: stripe index -> client (node) id of last writer, or -1
+        self._owner: List[int] = []
         self.revocations = 0
         self.grants = 0
 
@@ -54,15 +68,29 @@ class ExtentLockTracker:
         if length <= 0:
             return 0.0
         first, last = layout.stripe_span(offset, length)
+        owners = self._owner
+        if last >= len(owners):  # grow by at least an eighth: amortised O(1)
+            grow = max(last + 1 - len(owners), len(owners) >> 3)
+            owners.extend([_FREE] * grow)
+        stripes = range(first, last + 1)
+        n = last - first + 1
+        if n >= _SLICE_MIN_STRIPES:
+            inner = owners[first + 1:last]
+            free = inner.count(_FREE)
+            if free + inner.count(client) == n - 2:
+                # nobody else owns an inner stripe: grant them as one
+                # slice; only the head and tail can still need revoking
+                self.grants += free
+                owners[first + 1:last] = [client] * (n - 2)
+                stripes = (first, last)
         ss = layout.stripe_size
         # only the head and the tail stripe can be partially covered
         head_full = offset % ss == 0
         tail_full = (offset + length) % ss == 0
-        owners = self._owner
         penalty = 0.0
-        for stripe in range(first, last + 1):
-            owner = owners.get(stripe)
-            if owner is None:
+        for stripe in stripes:
+            owner = owners[stripe]
+            if owner == _FREE:
                 self.grants += 1
             elif owner != client:
                 self.revocations += 1
@@ -75,7 +103,10 @@ class ExtentLockTracker:
         return penalty
 
     def owner_of(self, stripe: int) -> Optional[int]:
-        return self._owner.get(stripe)
+        owners = self._owner
+        if 0 <= stripe < len(owners) and owners[stripe] != _FREE:
+            return owners[stripe]
+        return None
 
     def reset(self) -> None:
         self._owner.clear()

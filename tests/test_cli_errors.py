@@ -254,3 +254,30 @@ def test_victim_must_name_a_tenant():
         "bad --victim",
         "ghost",
     )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["experiments", "--help"],
+         ["repro experiments", "--workers", "--save", "--store", "paper", "fig1"]),
+        (["sweep", "-h"], ["repro experiments", "--workers", "--save", "--store"]),
+        (["store", "--help"],
+         ["repro store", "ingest", "report", "regressions", "query"]),
+        (["store", "query", "--help"], ["--require", "--db", "--json"]),
+    ],
+)
+def test_delegated_help_shows_the_real_parser(argv, expected, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for token in expected:
+        assert token in out
+    assert "positional arguments:\n  args" not in out
+
+
+def test_delegated_options_may_lead(capsys):
+    """An option before the selectors reaches the delegated parser."""
+    assert main(["experiments", "--workers", "0", "tiny", "fig1"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err

@@ -1,19 +1,22 @@
 """Differential tests: closed-form stripe arithmetic vs the extent walk.
 
 ``StripeLayout.bytes_per_ost``/``partial_stripes``, the extent-lock
-tracker, and the erasure-coded group walk compute from stripe indices
-alone.  The per-stripe ``Extent`` walk they replaced is kept here as the
-oracle, and Hypothesis checks the two agree exactly: same dicts in the
-same key order, same counters, bit-identical penalty floats.
+tracker, the OST pool's per-device booking and the erasure-coded group
+walk compute from stripe indices alone.  The per-stripe ``Extent`` walk
+they replaced is kept here as the oracle, and Hypothesis checks the two
+agree exactly: same dicts in the same key order, same owners, same
+counters, bit-identical penalty floats.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.iosys import ost as ost_module
 from repro.iosys.erasure import ErasureCodedLayout
 from repro.iosys.locks import ExtentLockTracker
 from repro.iosys.machine import MachineConfig
@@ -216,6 +219,126 @@ def test_write_penalty_matches_separate_queries(
     assert new.rpcs.tolist() == old.rpcs.tolist()
 
 
+def oracle_read_penalty(pool, layout, offset, length):
+    cfg = pool.config
+    n_rpcs = layout.rpcs_for(length, cfg.rpc_size)
+    acc = oracle_bytes_per_ost(layout, offset, length)
+    base, extra = divmod(n_rpcs, len(acc)) if acc else (0, 0)
+    for i, ost in enumerate(sorted(acc)):
+        pool.bytes_read[ost] += acc[ost]
+        pool.rpcs[ost] += base + (1 if i < extra else 0)
+    return n_rpcs * cfg.rpc_overhead
+
+
+class HookRecorder:
+    """Stands in for a TelemetryCollector: logs the per-device hooks."""
+
+    def __init__(self):
+        self.calls: List[tuple] = []
+
+    def record_in(self, ost, nbytes, nrpcs, tenant=0):
+        self.calls.append(("in", ost, nbytes, nrpcs, tenant))
+
+    def record_out(self, ost, nbytes, nrpcs, tenant=0):
+        self.calls.append(("out", ost, nbytes, nrpcs, tenant))
+
+
+def oracle_hooks(pool, layout, offset, length, write, tenant):
+    """The hook calls the per-device loop makes, in its order."""
+    n_rpcs = layout.rpcs_for(length, pool.config.rpc_size)
+    acc = oracle_bytes_per_ost(layout, offset, length)
+    base, extra = divmod(n_rpcs, len(acc)) if acc else (0, 0)
+    return [
+        ("in" if write else "out", ost, acc[ost], base + (1 if i < extra else 0), tenant)
+        for i, ost in enumerate(sorted(acc))
+    ]
+
+
+@st.composite
+def wide_layouts(draw) -> StripeLayout:
+    """Layouts wide enough for the sliced booking, often wrapping past
+    the last device (``start_ost + stripe_count > n_osts``)."""
+    n_osts = draw(st.integers(ost_module._SLICED_MIN_OSTS, 24))
+    return StripeLayout(
+        stripe_size=draw(st.sampled_from([1, 7, 4096, 1 << 20, 3 * 1000 + 7])),
+        stripe_count=draw(st.integers(ost_module._SLICED_MIN_OSTS, n_osts)),
+        n_osts=n_osts,
+        start_ost=draw(st.integers(0, n_osts - 1)),
+    )
+
+
+@st.composite
+def pool_sequences(draw):
+    lay = draw(st.one_of(wide_layouts(), layouts()))
+    ss, sc = lay.stripe_size, lay.stripe_count
+    # up to three times round the device cycle, from any stripe
+    wide = st.builds(
+        lambda first, n, head, tail: (
+            first * ss + min(head, ss - 1),
+            max(n * ss - min(head, ss - 1) - min(tail, ss - 1), 1),
+        ),
+        st.integers(0, 3 * sc), st.integers(1, 3 * sc + 2),
+        st.sampled_from([0, 1, 5, 1000]), st.sampled_from([0, 1, 3, 999]),
+    )
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),  # write?
+                st.one_of(wide, extents_on(ss)),
+                st.integers(0, 2),  # tenant
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return lay, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool_sequences(),
+    st.sampled_from([1, 7, 4096, 1 << 20, 3 * (1 << 20) + 1]),  # rpc_size
+    st.sampled_from([0.0, 2.5e-4]),  # rpc_overhead
+    st.sampled_from([0.0, 0.013]),  # rmw_cost
+    st.sampled_from([1.0, 3.7]),  # contention
+    st.booleans(),  # telemetry hooks on
+)
+def test_pool_sequences_match_walk(
+    case, rpc_size, rpc_overhead, rmw_cost, contention, telemetry
+):
+    """Many writes and reads on one pool, wide extents included: the
+    sliced booking and the per-device loop give the walk's counters,
+    and with telemetry on the hooks see the walk's per-device calls."""
+    lay, ops = case
+    cfg = MachineConfig.testbox(
+        n_osts=lay.n_osts, default_stripe_count=1, rpc_size=rpc_size,
+        rpc_overhead=rpc_overhead, rmw_cost=rmw_cost,
+    )
+    new, old = OstPool(cfg, RngStreams(0)), OstPool(cfg, RngStreams(0))
+    hooks = HookRecorder()
+    want_hooks: List[tuple] = []
+    if telemetry:
+        new.telemetry = hooks
+    for write, (offset, length), tenant in ops:
+        if write:
+            got = new.write_penalty(lay, offset, length, contention, tenant)
+            want = oracle_write_penalty(old, lay, offset, length, contention)
+        else:
+            got = new.read_penalty(lay, offset, length, tenant)
+            want = oracle_read_penalty(old, lay, offset, length)
+        if telemetry:
+            want_hooks += oracle_hooks(old, lay, offset, length, write, tenant)
+        assert got.hex() == want.hex()
+        assert new.rmw_events == old.rmw_events
+        assert new.bytes_written.tolist() == old.bytes_written.tolist()
+        assert new.bytes_read.tolist() == old.bytes_read.tolist()
+        assert new.rpcs.tolist() == old.rpcs.tolist()
+    assert hooks.calls == want_hooks
+    # the counters stay live NumPy arrays
+    assert isinstance(new.bytes_written, np.ndarray)
+    assert isinstance(new.rpcs, np.ndarray)
+
+
 # -- ExtentLockTracker --------------------------------------------------------------
 
 
@@ -246,8 +369,9 @@ def test_lock_tracker_matches_walk(case, revoke_cost):
         want = old.write_penalty(client, lay, offset, length, scale, discount)
         assert got.hex() == want.hex()  # bit-identical, not approximately
         assert (new.grants, new.revocations) == (old.grants, old.revocations)
-    assert new._owner == old._owner
-    assert list(new._owner) == list(old._owner)
+    top = max(old._owner, default=0)
+    for stripe in range(top + 2):
+        assert new.owner_of(stripe) == old._owner.get(stripe)
 
 
 # -- ErasureCodedLayout ---------------------------------------------------------------
