@@ -32,7 +32,7 @@ from typing import Optional
 
 from ..iosys.machine import MachineConfig, MiB
 from ..mpi.runtime import RankContext
-from .harness import AppResult, SimJob
+from .harness import AppResult, SimJob, require_positive
 from .h5part import H5PartFile
 
 __all__ = ["GcrmConfig", "run_gcrm"]
@@ -73,7 +73,9 @@ class GcrmConfig:
     def __post_init__(self) -> None:
         if self.cb_mode not in ("stage2", "twophase"):
             raise ValueError(f"bad cb_mode {self.cb_mode!r}")
+        require_positive(self, "ntasks", "slabs_per_meta_txn")
         if self.io_tasks is not None:
+            require_positive(self, "io_tasks")
             if self.ntasks % self.io_tasks != 0:
                 raise ValueError("io_tasks must divide ntasks")
         if self.cb_mode == "twophase" and self.io_tasks is None:

@@ -39,6 +39,15 @@ from ..sim.rng import RngStreams
 __all__ = ["SimJob", "AppResult", "SimSpec", "simulate"]
 
 
+def require_positive(cfg: Any, *names: str) -> None:
+    """Raise ValueError naming the first of ``cfg``'s fields ``names``
+    that is below 1 (an application config's counts and sizes)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class AppResult:
     """Everything an experiment needs from one application run."""

@@ -24,7 +24,7 @@ from typing import Optional
 
 from ..iosys.machine import MachineConfig, MiB
 from ..mpi.runtime import RankContext
-from .harness import AppResult, SimJob
+from .harness import AppResult, SimJob, require_positive
 
 __all__ = ["IorConfig", "run_ior"]
 
@@ -57,6 +57,7 @@ class IorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_positive(self, "ntasks", "transfer_size", "repetitions")
         if self.block_size % self.transfer_size != 0:
             raise ValueError("transfer_size must divide block_size")
         if self.access not in ("sequential", "random"):

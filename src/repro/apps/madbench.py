@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..iosys.machine import MachineConfig, MiB
 from ..mpi.runtime import RankContext
-from .harness import AppResult, SimJob
+from .harness import AppResult, SimJob, require_positive
 from .mpiio import MpiFile
 
 __all__ = ["MadbenchConfig", "run_madbench"]
@@ -49,6 +49,9 @@ class MadbenchConfig:
     path: str = "/scratch/madbench.dat"
     machine: MachineConfig = field(default_factory=MachineConfig.franklin)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive(self, "ntasks", "n_matrices", "alignment")
 
     @property
     def slot_bytes(self) -> int:

@@ -37,15 +37,9 @@ from .oracle import (
     verify_transients,
 )
 from .plots import plot_cdfs, plot_curve, plot_histogram, plot_rate_curve
-from .order_stats import (
-    expected_max,
-    max_quantile,
-    nth_order_density,
-    predict_phase_time,
-    step_sharpness,
-)
+from .order_stats import expected_max
 from .progress import ProgressCurve, deterioration_trend, phase_progress
-from .segmentation import segment_by_gaps, segment_by_generation, strip_labels
+from .segmentation import segment_by_gaps, strip_labels
 from .timeseries import RateCurve, aggregate_rate, plateaus
 from .tracevis import TraceDiagram, render, trace_diagram
 
@@ -99,13 +93,8 @@ __all__ = [
     "plot_histogram",
     "plot_rate_curve",
     "expected_max",
-    "max_quantile",
-    "nth_order_density",
-    "predict_phase_time",
-    "step_sharpness",
     "ProgressCurve",
     "segment_by_gaps",
-    "segment_by_generation",
     "strip_labels",
     "deterioration_trend",
     "phase_progress",

@@ -55,7 +55,9 @@ def _normaltest_pvalue(s: np.ndarray) -> float:
     K2 = Zs**2 + Zk**2 from the skewness test (D'Agostino 1970) and the
     kurtosis test (Anscombe & Glynn 1983); K2 is chi-squared with two
     degrees of freedom under normality, whose survival function is
-    exp(-K2/2).  Returns nan when the sample's spread vanishes.
+    exp(-K2/2).  Returns nan when the sample's spread vanishes.  A sample
+    with skewness exactly 0 gets Zs = 0; scipy's ``skewtest`` substitutes
+    y = 1 there, which charges a symmetric sample a skewness it lacks.
     """
     g1, b2 = _standard_moments(s)
     n = float(len(s))
@@ -66,7 +68,6 @@ def _normaltest_pvalue(s: np.ndarray) -> float:
     w2 = -1 + math.sqrt(2 * (beta2 - 1))
     delta = 1 / math.sqrt(0.5 * math.log(w2))
     alpha = math.sqrt(2.0 / (w2 - 1))
-    y = 1.0 if y == 0 else y  # as in the reference implementation
     z_skew = delta * math.log(y / alpha + math.sqrt((y / alpha) ** 2 + 1))
     # kurtosis test
     mean_b2 = 3.0 * (n - 1) / (n + 1)
@@ -224,30 +225,6 @@ class EmpiricalDistribution:
         m = self.moments()
         score = 1.0 / (1.0 + m.skewness**2 + 0.25 * m.kurtosis**2)
         return float(score)
-
-    def bootstrap_ci(
-        self,
-        statistic=np.mean,
-        n_boot: int = 1000,
-        alpha: float = 0.05,
-        seed: int = 0,
-    ) -> Tuple[float, float]:
-        """Percentile-bootstrap confidence interval for a statistic.
-
-        Quantifies how well-pinned an ensemble summary is -- the teeth
-        behind "moments and modes are reproducible": the CI from one run
-        should cover the other run's point estimate (tested).
-        """
-        if n_boot < 10:
-            raise ValueError("n_boot must be >= 10")
-        rng = np.random.default_rng(seed)
-        n = self.n
-        stats_ = np.empty(n_boot)
-        for i in range(n_boot):
-            sample = self.samples[rng.integers(0, n, size=n)]
-            stats_[i] = statistic(sample)
-        lo, hi = np.quantile(stats_, [alpha / 2, 1 - alpha / 2])
-        return float(lo), float(hi)
 
     def tail_weight(self, q: float = 0.95) -> float:
         """max / quantile(q): how far the extreme tail reaches beyond the

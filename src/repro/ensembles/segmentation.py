@@ -8,28 +8,22 @@ trace structure alone:
 - :func:`segment_by_gaps` -- split the timeline wherever *global* I/O
   activity pauses (every rank idle) for longer than a threshold: the
   signature of a barrier + compute section.
-- :func:`segment_by_generation` -- for tightly barriered kernels with one
-  op per rank per phase (IOR, MADbench): the n-th same-kind op of each
-  rank belongs to phase n.  Robust even when phases overlap in time
-  (stragglers from phase i finishing after phase i+1 began elsewhere).
 
-Both return a labelled *copy* of the trace so the rest of the toolkit
+It returns a labelled *copy* of the trace so the rest of the toolkit
 (progress curves, per-phase ensembles, the deterioration diagnostic)
 works unchanged on unlabelled data -- demonstrated by the tests, which
-segment a label-stripped MADbench trace and still find the Figure 5a
-deterioration.
+recover the barrier phases of a label-stripped IOR trace.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ipm.events import COLUMNS, DATA_OPS, Trace
 
-__all__ = ["strip_labels", "segment_by_gaps", "segment_by_generation"]
+__all__ = ["strip_labels", "segment_by_gaps"]
 
 
 def _relabel(trace: Trace, phases: Sequence[str]) -> Trace:
@@ -93,34 +87,3 @@ def segment_by_gaps(
 
     idx = np.searchsorted(np.asarray(boundaries, dtype=float), trace.starts)
     return _relabel(trace, [f"{prefix}{i}" for i in idx.tolist()])
-
-
-def segment_by_generation(
-    trace: Trace,
-    ops: Sequence[str] = DATA_OPS,
-    per_kind: bool = True,
-    prefix: str = "gen",
-) -> Trace:
-    """Label each rank's n-th data op as generation n.
-
-    With ``per_kind`` the counter is kept separately for reads and writes
-    (``genR3`` / ``genW3``), which is exactly the structure needed to
-    rebuild MADbench's ``read 4..8`` families from a raw trace.
-    Non-data ops keep an empty label.
-    """
-    wanted = set(ops)
-    reads = {"read", "pread"}
-    counters: Dict[Tuple[int, str], int] = defaultdict(int)
-    labels: List[str] = []
-    for rank, op in zip(trace.ranks.tolist(), trace.ops.tolist()):
-        label = ""
-        if op in wanted:
-            if per_kind:
-                kind = "R" if op in reads else "W"
-            else:
-                kind = ""
-            key = (rank, kind)
-            counters[key] += 1
-            label = f"{prefix}{kind}{counters[key]}"
-        labels.append(label)
-    return _relabel(trace, labels)

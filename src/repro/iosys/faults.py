@@ -21,17 +21,16 @@ time-windowed events:
   run-to-run variability the paper's ensemble view sees through).
 
 Schedules are immutable, canonically ordered, and validated on
-construction (windows per device sorted and non-overlapping, factors
+construction (windows per device sorted and non-overlapping, finite factors
 >= 1), so two runs given equal schedules behave identically -- the
 property the golden-trace and hypothesis suites enforce.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
 
 __all__ = [
     "FaultWindow",
@@ -76,8 +75,10 @@ class FaultWindow:
                 f"fault window must satisfy 0 <= t_start < t_end, "
                 f"got [{self.t_start}, {self.t_end})"
             )
-        if self.factor < 1.0:
-            raise ValueError(f"fault factor must be >= 1, got {self.factor}")
+        if not (math.isfinite(self.factor) and self.factor >= 1.0):
+            raise ValueError(
+                f"fault factor must be finite and >= 1, got {self.factor}"
+            )
         if self.kind in _DEVICE_KINDS and self.device is None:
             raise ValueError(f"{self.kind!r} fault needs a device (OST index)")
         if self.kind in _GLOBAL_KINDS and self.device is not None:
@@ -106,7 +107,7 @@ class FaultSchedule:
 
     - windows are sorted by ``(t_start, kind, device)``;
     - windows of the same ``(kind, device)`` never overlap;
-    - every factor is >= 1.
+    - every factor is finite and >= 1.
     """
 
     windows: Tuple[FaultWindow, ...] = ()
@@ -161,57 +162,6 @@ class FaultSchedule:
                 if "unknown fault kind" in str(exc) or "must" in str(exc):
                     raise
                 raise ValueError(f"bad fault spec {spec!r}: {exc}") from exc
-        return cls(windows=tuple(windows))
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        n_osts: int,
-        duration: float,
-        n_degrade: int = 2,
-        n_stall: int = 1,
-        n_mds: int = 0,
-        n_burst: int = 0,
-        max_window: float = 0.25,
-        max_factor: float = 8.0,
-    ) -> "FaultSchedule":
-        """A deterministic, seeded random schedule over ``[0, duration)``.
-
-        Identical ``(seed, parameters)`` always yield the identical
-        schedule (the generator state is derived from the seed alone).
-        Windows for one device are spread over disjoint slots so the
-        per-device non-overlap invariant holds by construction.
-        """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        rng = np.random.default_rng(np.random.SeedSequence([0xFA17, int(seed)]))
-        windows: List[FaultWindow] = []
-
-        def _window(kind: str, device: Optional[int], factor: float) -> None:
-            span = float(rng.uniform(0.02, max_window)) * duration
-            start = float(rng.uniform(0.0, max(duration - span, 1e-9)))
-            # nudge until it does not overlap a same-key window
-            existing = [w for w in windows
-                        if w.kind == kind and w.device == device]
-            for _ in range(32):
-                cand = FaultWindow(kind, start, start + span, device=device,
-                                   factor=factor)
-                if not any(cand.overlaps(w) for w in existing):
-                    windows.append(cand)
-                    return
-                start = float(rng.uniform(0.0, max(duration - span, 1e-9)))
-            # give up quietly: a dense schedule simply gets fewer windows
-
-        for _ in range(n_degrade):
-            _window(DEGRADE, int(rng.integers(n_osts)),
-                    float(rng.uniform(2.0, max_factor)))
-        for _ in range(n_stall):
-            _window(STALL, int(rng.integers(n_osts)), 1.0)
-        for _ in range(n_mds):
-            _window(MDS_HICCUP, None, float(rng.uniform(2.0, max_factor)))
-        for _ in range(n_burst):
-            _window(TAIL_BURST, None, float(rng.uniform(2.0, max_factor)))
         return cls(windows=tuple(windows))
 
     # -- queries ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Simulated MPI: SPMD world, communicators, collectives, point-to-point."""
+"""Simulated MPI: SPMD world, communicators and collectives."""
 
 from .comm import Communicator, Interconnect, MpiError, RankComm
 from .runtime import RankContext, World

@@ -5,7 +5,7 @@ communicator is a :class:`RankComm`, whose methods are generators used with
 ``yield from``::
 
     def rank_fn(ctx):
-        value = yield from ctx.comm.bcast(data, root=0)
+        values = yield from ctx.comm.gather(data, root=0)
         yield from ctx.comm.barrier()
 
 Collective semantics follow MPI: every rank of the communicator must call
@@ -16,9 +16,8 @@ communication cost from the :class:`Interconnect`.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine, Event, SimulationError
 
@@ -94,9 +93,6 @@ class Communicator:
         # collective progress: per-rank call counter and open rendezvous
         self._counters = [0] * self.size
         self._pending: Dict[int, _Collective] = {}
-        # point-to-point mailboxes: (src, dst, tag) -> queues
-        self._msgq: Dict[Tuple[int, int, Any], deque] = {}
-        self._recvq: Dict[Tuple[int, int, Any], deque] = {}
         self.collectives_completed = 0
 
     def rank_view(self, rank: int) -> "RankComm":
@@ -188,16 +184,6 @@ class RankComm:
             self._comm._complete(state, [None] * self._comm.size, 0.0)
         yield ev
 
-    def bcast(self, value: Any, root: int = 0):
-        ev, state = self._comm._join(self.rank, "bcast", value, root)
-        if state.arrived == self._comm.size:
-            payload = state.values[state.root]
-            self._comm._complete(
-                state, [payload] * self._comm.size, _payload_bytes(payload)
-            )
-        result = yield ev
-        return result
-
     def gather(self, value: Any, root: int = 0):
         ev, state = self._comm._join(self.rank, "gather", value, root)
         if state.arrived == self._comm.size:
@@ -207,106 +193,6 @@ class RankComm:
                 for r in range(self._comm.size)
             ]
             nbytes = sum(_payload_bytes(v) for v in gathered)
-            self._comm._complete(state, results, nbytes)
-        result = yield ev
-        return result
-
-    def allgather(self, value: Any):
-        ev, state = self._comm._join(self.rank, "allgather", value, None)
-        if state.arrived == self._comm.size:
-            gathered = list(state.values)
-            nbytes = sum(_payload_bytes(v) for v in gathered)
-            self._comm._complete(
-                state, [gathered] * self._comm.size, nbytes
-            )
-        result = yield ev
-        return result
-
-    def scatter(self, values: Optional[List[Any]], root: int = 0):
-        ev, state = self._comm._join(self.rank, "scatter", values, root)
-        if state.arrived == self._comm.size:
-            src = state.values[state.root]
-            if src is None or len(src) != self._comm.size:
-                raise MpiError(
-                    f"scatter root must supply exactly {self._comm.size} values"
-                )
-            nbytes = sum(_payload_bytes(v) for v in src)
-            self._comm._complete(state, list(src), nbytes)
-        result = yield ev
-        return result
-
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any] = None, root: int = 0):
-        ev, state = self._comm._join(self.rank, "reduce", value, root)
-        if state.arrived == self._comm.size:
-            fn = op or (lambda a, b: a + b)
-            acc = state.values[0]
-            for v in state.values[1:]:
-                acc = fn(acc, v)
-            results = [
-                acc if r == state.root else None for r in range(self._comm.size)
-            ]
-            self._comm._complete(state, results, _payload_bytes(value))
-        result = yield ev
-        return result
-
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None):
-        ev, state = self._comm._join(self.rank, "allreduce", value, None)
-        if state.arrived == self._comm.size:
-            fn = op or (lambda a, b: a + b)
-            acc = state.values[0]
-            for v in state.values[1:]:
-                acc = fn(acc, v)
-            self._comm._complete(
-                state, [acc] * self._comm.size, _payload_bytes(value)
-            )
-        result = yield ev
-        return result
-
-    def scan(self, value: Any, op: Callable[[Any, Any], Any] = None):
-        """Inclusive prefix reduction: rank r receives op-fold of the
-        values from ranks 0..r (MPI_Scan)."""
-        ev, state = self._comm._join(self.rank, "scan", value, None)
-        if state.arrived == self._comm.size:
-            fn = op or (lambda a, b: a + b)
-            results: List[Any] = []
-            acc = None
-            for v in state.values:
-                acc = v if acc is None else fn(acc, v)
-                results.append(acc)
-            self._comm._complete(state, results, _payload_bytes(value))
-        result = yield ev
-        return result
-
-    def sendrecv(
-        self,
-        dest: int,
-        value: Any,
-        source: int,
-        sendtag: Any = 0,
-        recvtag: Any = 0,
-    ):
-        """Combined send+receive (MPI_Sendrecv): ships ``value`` to
-        ``dest`` and returns the message from ``source`` -- deadlock-free
-        for shift patterns because the send is eager."""
-        yield from self.send(dest, value, tag=sendtag)
-        result = yield from self.recv(source, tag=recvtag)
-        return result
-
-    def alltoall(self, values: List[Any]):
-        if len(values) != self._comm.size:
-            raise MpiError(
-                f"alltoall needs exactly {self._comm.size} values per rank"
-            )
-        ev, state = self._comm._join(self.rank, "alltoall", values, None)
-        if state.arrived == self._comm.size:
-            size = self._comm.size
-            results = [
-                [state.values[src][dst] for src in range(size)]
-                for dst in range(size)
-            ]
-            nbytes = sum(
-                _payload_bytes(v) for row in state.values for v in row
-            )
             self._comm._complete(state, results, nbytes)
         result = yield ev
         return result
@@ -342,36 +228,3 @@ class RankComm:
             self._comm._complete(state, results, 8.0 * self._comm.size)
         result = yield ev
         return result
-
-    # -- point-to-point ---------------------------------------------------------
-    def send(self, dest: int, value: Any, tag: Any = 0):
-        """Eager send: completes after the modelled transfer time."""
-        comm = self._comm
-        key = (self.rank, dest, tag)
-        cost = comm.interconnect.p2p_cost(_payload_bytes(value))
-        waiting = comm._recvq.get(key)
-        if waiting:
-            ev = waiting.popleft()
-            if cost > 0:
-                comm.engine._complete_later(cost, _deliver, ev, value)
-            else:
-                ev.succeed(value)
-        else:
-            comm._msgq.setdefault(key, deque()).append(value)
-        if cost > 0:
-            yield comm.engine.timeout(cost)
-        else:
-            yield comm.engine.timeout(0.0)
-
-    def recv(self, source: int, tag: Any = 0):
-        comm = self._comm
-        key = (source, self.rank, tag)
-        queued = comm._msgq.get(key)
-        if queued:
-            value = queued.popleft()
-            yield comm.engine.timeout(0.0)
-            return value
-        ev = comm.engine.event()
-        comm._recvq.setdefault(key, deque()).append(ev)
-        value = yield ev
-        return value

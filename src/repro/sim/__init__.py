@@ -12,7 +12,7 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Lock, Semaphore, Server, SharedPipe, SlotChannel
+from .resources import Semaphore, Server, SlotChannel
 from .rng import RngStreams
 
 __all__ = [
@@ -26,10 +26,8 @@ __all__ = [
     "SimRaceError",
     "SimulationError",
     "Timeout",
-    "Lock",
     "Semaphore",
     "Server",
-    "SharedPipe",
     "SlotChannel",
     "RngStreams",
 ]

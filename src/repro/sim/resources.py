@@ -8,12 +8,10 @@ stack:
   With ``slots=1`` this is FIFO-exclusive service (the mechanism behind the
   paper's harmonic completion-time modes); with ``slots=n_tasks`` it is a
   static fair share.
-- :class:`SharedPipe` -- true processor-sharing: all active transfers split
-  the capacity equally and rates are recomputed on every arrival/departure.
 - :class:`Server` -- a FIFO request server with a per-request overhead and a
   byte rate (used for OSTs and the MDS).
-- :class:`Lock` / :class:`Semaphore` -- mutual exclusion with FIFO waiters
-  (used for extent locks and rank-0 metadata serialisation).
+- :class:`Semaphore` -- a counting semaphore with FIFO waiters (a client
+  node's I/O tokens, one per task slot).
 
 All resources carry ``__slots__``: a paper-scale run keeps tens of
 thousands of service completions in flight, and slotted instances cut
@@ -34,16 +32,14 @@ reference counting alone.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Tuple
 
 from .engine import Engine, Event, SimulationError
 
 __all__ = [
     "FifoQueueMixin",
     "SlotChannel",
-    "SharedPipe",
     "Server",
-    "Lock",
     "Semaphore",
 ]
 
@@ -152,113 +148,6 @@ class SlotChannel(FifoQueueMixin):
         self._drain()
 
 
-class SharedPipe:
-    """Processor-sharing bandwidth pipe.
-
-    All active transfers share ``capacity`` equally; per-transfer rates are
-    recomputed whenever a transfer joins or completes.  Exact for a single
-    bottleneck link, and O(active) work per change.
-    """
-
-    __slots__ = (
-        "engine", "capacity", "_active", "_next_id", "_last_update",
-        "_completion_timer", "_timer_token", "bytes_transferred",
-    )
-
-    def __init__(self, engine: Engine, capacity: float) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.engine = engine
-        self.capacity = float(capacity)
-        # transfer id -> [remaining_bytes, done_event, start_time]
-        self._active: Dict[int, List[Any]] = {}
-        self._next_id = 0
-        self._last_update = 0.0
-        self._completion_timer: Optional[Event] = None
-        self._timer_token = 0
-        self.bytes_transferred = 0.0
-
-    @property
-    def n_active(self) -> int:
-        return len(self._active)
-
-    def transfer(self, nbytes: float) -> Event:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        done = self.engine.event()
-        self._settle()
-        tid = self._next_id
-        self._next_id += 1
-        # remaining, done event, start time, original size (for the
-        # relative completion epsilon)
-        self._active[tid] = [float(nbytes), done, self.engine.now, float(nbytes)]
-        self.bytes_transferred += nbytes
-        self._rearm()
-        return done
-
-    # -- internals -----------------------------------------------------------
-    def _rate(self) -> float:
-        n = len(self._active)
-        return self.capacity / n if n else 0.0
-
-    def _settle(self) -> None:
-        """Charge elapsed progress to every active transfer."""
-        now = self.engine.now
-        elapsed = now - self._last_update
-        self._last_update = now
-        if elapsed <= 0 or not self._active:
-            return
-        progressed = elapsed * self._rate()
-        for entry in self._active.values():
-            entry[0] -= progressed
-
-    def _rearm(self) -> None:
-        """Schedule a wake-up at the earliest projected completion."""
-        self._timer_token += 1
-        if not self._active:
-            return
-        rate = self._rate()
-        min_remaining = min(e[0] for e in self._active.values())
-        delay = max(min_remaining, 0.0) / rate
-        token = self._timer_token
-        engine = self.engine
-        timer = engine._complete_later(delay, self._on_timer, token, None)
-        if engine.sanitize:
-            # Commutative: stale timers are no-ops (token guard) and the
-            # live timer's settle/complete logic reads only engine.now,
-            # never the relative dispatch order at one instant.
-            engine.annotate(
-                timer, f"sharedpipe@{id(self):x}",
-                op="rearm", exclusive=False,
-            )
-
-    def _on_timer(self, token: int, _unused: Any = None) -> None:
-        if token != self._timer_token:
-            return  # superseded by a later arrival
-        self._settle()
-        # Completion test uses an epsilon relative to each transfer's
-        # original size: repeated settle() subtractions accumulate float
-        # error proportional to the magnitudes involved, and an absolute
-        # epsilon can leave a residue that respawns ever-shorter timers.
-        finished = [
-            tid
-            for tid, e in self._active.items()
-            if e[0] <= 1e-9 * max(e[3], 1.0)
-        ]
-        if not finished and self._active:
-            # Guarantee progress: the projected-minimum transfer is done
-            # up to float noise -- force-complete it rather than spinning.
-            tid_min = min(self._active, key=lambda t: self._active[t][0])
-            if self._active[tid_min][0] <= 1e-6 * max(
-                self._active[tid_min][3], 1.0
-            ):
-                finished = [tid_min]
-        for tid in finished:
-            _remaining, done, start, _orig = self._active.pop(tid)
-            done.succeed(self.engine.now - start)
-        self._rearm()
-
-
 class Server(FifoQueueMixin):
     """A FIFO request server: ``concurrency`` requests in flight, each taking
     ``overhead + nbytes/rate`` (scaled by a per-request factor).
@@ -337,51 +226,6 @@ class Server(FifoQueueMixin):
         else:
             done.succeed(duration)
         self._drain()
-
-
-class Lock:
-    """FIFO mutex.  ``acquire()`` returns an event; call :meth:`release`
-    from the holder when done."""
-
-    __slots__ = (
-        "engine", "name", "_held", "_waiters", "acquisitions",
-        "contended_acquisitions",
-    )
-
-    def __init__(self, engine: Engine, name: str = "lock") -> None:
-        self.engine = engine
-        self.name = name
-        self._held = False
-        self._waiters: Deque[Event] = deque()
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-
-    @property
-    def held(self) -> bool:
-        return self._held
-
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        ev = self.engine.event()
-        self.acquisitions += 1
-        if not self._held:
-            self._held = True
-            ev.succeed(None)
-        else:
-            self.contended_acquisitions += 1
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if not self._held:
-            raise SimulationError(f"release of unheld lock {self.name!r}")
-        if self._waiters:
-            self._waiters.popleft().succeed(None)
-        else:
-            self._held = False
 
 
 class Semaphore:

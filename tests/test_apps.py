@@ -239,3 +239,24 @@ class TestGcrmPattern:
     def test_total_bytes_property(self):
         cfg = self.make()
         assert cfg.total_bytes == 21 * 16 * cfg.record_bytes
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (GcrmConfig, "ntasks"),
+        (GcrmConfig, "io_tasks"),
+        (GcrmConfig, "slabs_per_meta_txn"),
+        (IorConfig, "ntasks"),
+        (IorConfig, "transfer_size"),
+        (IorConfig, "repetitions"),
+        (MadbenchConfig, "ntasks"),
+        (MadbenchConfig, "n_matrices"),
+        (MadbenchConfig, "alignment"),
+    ],
+)
+def test_config_rejects_zero_at_construction(config, field):
+    """A zero count or size fails when the config is built, naming the
+    field, instead of dividing by zero or running with no I/O later."""
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        config(**{field: 0})

@@ -13,13 +13,7 @@ from repro.ensembles.histogram import (
     log_histogram,
     rate_histogram,
 )
-from repro.ensembles.order_stats import (
-    expected_max,
-    max_quantile,
-    nth_order_density,
-    predict_phase_time,
-    step_sharpness,
-)
+from repro.ensembles.order_stats import expected_max
 
 MiB = 1024.0 * 1024.0
 
@@ -187,39 +181,10 @@ class TestOrderStatistics:
         ).mean()
         assert expected_max(d, n) == pytest.approx(mc, rel=0.05)
 
-    def test_nth_order_density_integrates_to_one(self):
-        d = EmpiricalDistribution(np.random.default_rng(3).normal(10, 2, 500))
-        t, fn = nth_order_density(d, 100)
-        assert trapezoid(fn, t) == pytest.approx(1.0, abs=0.02)
-
-    def test_nth_order_density_peak_in_right_tail(self):
-        d = EmpiricalDistribution(np.random.default_rng(4).normal(10, 2, 2000))
-        t, fn = nth_order_density(d, 1000)
-        peak = t[np.argmax(fn)]
-        assert peak > float(d.quantile(0.95))
-
-    def test_max_quantile(self):
-        d = EmpiricalDistribution(np.linspace(0, 1, 1001))
-        # median of max of n uniforms ~ (1/2)^(1/n)
-        assert max_quantile(d, 10, q=0.5) == pytest.approx(0.5 ** 0.1, abs=0.01)
-        with pytest.raises(ValueError):
-            max_quantile(d, 10, q=0.0)
-
-    def test_predict_phase_time_alias(self):
-        d = EmpiricalDistribution([1.0, 2.0, 3.0])
-        assert predict_phase_time(d, 5) == expected_max(d, 5)
-
-    def test_step_sharpness_decreases_with_n(self):
-        d = EmpiricalDistribution(np.random.default_rng(5).normal(10, 2, 1000))
-        s = [step_sharpness(d, n) for n in (2, 16, 256)]
-        assert s[0] > s[1] > s[2]
-
     def test_invalid_n_rejected(self):
         d = EmpiricalDistribution([1.0, 2.0])
         with pytest.raises(ValueError):
             expected_max(d, 0)
-        with pytest.raises(ValueError):
-            nth_order_density(d, 0)
 
     @settings(max_examples=50, deadline=None)
     @given(finite_samples, st.integers(min_value=1, max_value=512))

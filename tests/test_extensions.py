@@ -1,18 +1,18 @@
-"""Tests for the extension surface: AnyOf, trace storage, CLI, collective
-reads, H5Part read-back, bootstrap CIs."""
+"""Tests for the extension surface: AnyOf, trace storage, CLI, H5Part
+read-back, and the bootstrap CIs of ``tests/bootstrap.py``."""
 
 import numpy as np
 import pytest
 
 from repro.apps.h5part import H5PartFile
 from repro.apps.harness import SimJob
-from repro.apps.mpiio import MpiFile
 from repro.cli import main as cli_main
 from repro.ensembles.distribution import EmpiricalDistribution
 from repro.ipm.events import Trace
 from repro.ipm.storage import load_trace, save_trace
 from repro.iosys.machine import MachineConfig, MiB
 from repro.sim.engine import Engine, SimulationError
+from tests.bootstrap import bootstrap_ci
 
 
 class TestAnyOf:
@@ -151,36 +151,6 @@ class TestCli:
             cli_main(["run-ior", "--machine", "bluegene"])
 
 
-class TestCollectiveRead:
-    def test_read_at_all_coalesces(self):
-        j = SimJob(MachineConfig.testbox(), 8)
-
-        def fn(ctx):
-            f = yield from MpiFile.open(ctx, "/m")
-            yield from f.write_at_all(ctx.rank * MiB, MiB)
-            yield from f.read_at_all(ctx.rank * MiB, MiB, cb_nodes=2)
-            yield from f.close()
-            return None
-
-        j.run(fn)
-        reads = j.collector.trace.reads()
-        assert len(reads) == 2  # two aggregators, coalesced runs
-        assert set(reads.sizes.tolist()) == {4 * MiB}
-
-    def test_read_at_all_without_cb(self):
-        j = SimJob(MachineConfig.testbox(), 4)
-
-        def fn(ctx):
-            f = yield from MpiFile.open(ctx, "/m")
-            yield from f.write_at_all(ctx.rank * MiB, MiB)
-            res = yield from f.read_at_all(ctx.rank * MiB, MiB)
-            yield from f.close()
-            return res.duration
-
-        out = j.run(fn)
-        assert all(d > 0 for d in out.per_rank)
-
-
 class TestH5PartReadBack:
     def test_read_field_roundtrip(self):
         j = SimJob(MachineConfig.testbox(), 4)
@@ -214,7 +184,7 @@ class TestBootstrapCi:
     def test_ci_covers_true_mean(self):
         rng = np.random.default_rng(0)
         d = EmpiricalDistribution(rng.normal(10, 2, 400))
-        lo, hi = d.bootstrap_ci(np.mean, n_boot=500)
+        lo, hi = bootstrap_ci(d, np.mean, n_boot=500)
         assert lo < 10 < hi
         assert hi - lo < 1.0
 
@@ -225,18 +195,18 @@ class TestBootstrapCi:
         pop = rng.gamma(2, 3, 100000)
         a = EmpiricalDistribution(rng.choice(pop, 800))
         b = EmpiricalDistribution(rng.choice(pop, 800))
-        lo, hi = a.bootstrap_ci(np.median, n_boot=500)
+        lo, hi = bootstrap_ci(a, np.median, n_boot=500)
         assert lo <= b.median <= hi
 
     def test_ci_deterministic_per_seed(self):
         d = EmpiricalDistribution(np.arange(100, dtype=float))
-        assert d.bootstrap_ci(seed=5) == d.bootstrap_ci(seed=5)
-        assert d.bootstrap_ci(seed=5) != d.bootstrap_ci(seed=6)
+        assert bootstrap_ci(d, seed=5) == bootstrap_ci(d, seed=5)
+        assert bootstrap_ci(d, seed=5) != bootstrap_ci(d, seed=6)
 
     def test_validates_n_boot(self):
         d = EmpiricalDistribution([1.0, 2.0])
         with pytest.raises(ValueError):
-            d.bootstrap_ci(n_boot=3)
+            bootstrap_ci(d, n_boot=3)
 
 
 class TestCliExperiments:

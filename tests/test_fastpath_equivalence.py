@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.fastpath import fastpath_default, forced_path
-from repro.sim.resources import Server, SharedPipe, SlotChannel
+from repro.sim.resources import Server, SlotChannel
 
 from tests.test_golden_traces import GOLDEN_DIR, SCENARIOS, digest
 
@@ -336,7 +336,7 @@ def test_pool_reuse_is_real_but_bounded():
 @pytest.mark.parametrize("fast", [True, False])
 def test_finished_run_leaves_no_cyclic_garbage(fast):
     """Processes waiting on plain events, timeouts, child processes and
-    resource completions (channel, server, shared pipe) form no
+    resource completions (channel, server) form no
     reference cycles: once a finished engine is dropped, reference
     counting alone frees everything, so the cycle collector finds
     nothing (and peak memory does not wait on a gen-2 pass)."""
@@ -345,12 +345,10 @@ def test_finished_run_leaves_no_cyclic_garbage(fast):
         engine = Engine(fastpath=fast)
         channel = SlotChannel(engine, bandwidth=1e6, slots=2)
         server = Server(engine, rate=1e6, concurrency=2, overhead=1e-4)
-        pipe = SharedPipe(engine, capacity=1e6)
 
         def client(i):
             yield channel.transfer(1000.0 * (i + 1))
             yield server.request(500.0)
-            yield pipe.transfer(2000.0)
             return i
 
         def child(i):

@@ -45,6 +45,10 @@ def test_window_basics():
         dict(kind=DEGRADE, t_start=2.0, t_end=1.0, device=0),
         dict(kind=DEGRADE, t_start=-1.0, t_end=1.0, device=0),
         dict(kind=DEGRADE, t_start=0.0, t_end=1.0, device=0, factor=0.5),
+        dict(kind=DEGRADE, t_start=0.0, t_end=1.0, device=0,
+             factor=float("nan")),
+        dict(kind=DEGRADE, t_start=0.0, t_end=1.0, device=0,
+             factor=float("inf")),
         dict(kind=DEGRADE, t_start=0.0, t_end=1.0),  # device required
         dict(kind=STALL, t_start=0.0, t_end=1.0),
         dict(kind=MDS_HICCUP, t_start=0.0, t_end=1.0, device=3),  # forbidden
@@ -112,21 +116,6 @@ def test_from_specs_round_trip_and_errors():
     for bad in ["melt:1:2", "degrade:1:2", "stall:x:0:1", "degrade:0:5:1:6"]:
         with pytest.raises(ValueError):
             FaultSchedule.from_specs([bad])
-
-
-def test_random_schedule_is_deterministic_and_valid():
-    a = FaultSchedule.random(7, n_osts=8, duration=100.0, n_degrade=3,
-                             n_stall=2, n_mds=1, n_burst=1)
-    b = FaultSchedule.random(7, n_osts=8, duration=100.0, n_degrade=3,
-                             n_stall=2, n_mds=1, n_burst=1)
-    assert a == b
-    c = FaultSchedule.random(8, n_osts=8, duration=100.0, n_degrade=3,
-                             n_stall=2, n_mds=1, n_burst=1)
-    assert a != c
-    a.validate_devices(8)
-    for w in a.windows:
-        assert 0.0 <= w.t_start < w.t_end <= 100.0
-        assert w.factor >= 1.0
 
 
 # -- MachineConfig integration -------------------------------------------------

@@ -33,16 +33,6 @@ class TestBarrier:
 
 
 class TestCollectives:
-    def test_bcast_from_nonzero_root(self):
-        w = World(nranks=4)
-
-        def fn(ctx):
-            payload = "secret" if ctx.rank == 2 else None
-            got = yield from ctx.comm.bcast(payload, root=2)
-            return got
-
-        assert w.run(fn) == ["secret"] * 4
-
     def test_gather_only_root_receives(self):
         w = World(nranks=4)
 
@@ -54,78 +44,18 @@ class TestCollectives:
         assert results[1] == [0, 10, 20, 30]
         assert results[0] is None and results[2] is None
 
-    def test_scatter(self):
-        w = World(nranks=3)
-
-        def fn(ctx):
-            values = ["a", "b", "c"] if ctx.rank == 0 else None
-            got = yield from ctx.comm.scatter(values, root=0)
-            return got
-
-        assert w.run(fn) == ["a", "b", "c"]
-
-    def test_scatter_wrong_length_raises(self):
-        w = World(nranks=3)
-
-        def fn(ctx):
-            values = ["a", "b"] if ctx.rank == 0 else None
-            got = yield from ctx.comm.scatter(values, root=0)
-            return got
-
-        with pytest.raises(MpiError):
-            w.run(fn)
-
-    def test_allgather(self):
-        w = World(nranks=4)
-
-        def fn(ctx):
-            got = yield from ctx.comm.allgather(ctx.rank**2)
-            return got
-
-        assert w.run(fn) == [[0, 1, 4, 9]] * 4
-
-    def test_reduce_custom_op(self):
-        w = World(nranks=4)
-
-        def fn(ctx):
-            got = yield from ctx.comm.reduce(
-                ctx.rank + 1, op=lambda a, b: a * b, root=0
-            )
-            return got
-
-        assert w.run(fn)[0] == 24
-
-    def test_allreduce_sum_default(self):
-        w = World(nranks=5)
-
-        def fn(ctx):
-            return (yield from ctx.comm.allreduce(ctx.rank))
-
-        assert w.run(fn) == [10] * 5
-
-    def test_alltoall(self):
-        w = World(nranks=3)
-
-        def fn(ctx):
-            out = [(ctx.rank, dst) for dst in range(3)]
-            got = yield from ctx.comm.alltoall(out)
-            return got
-
-        results = w.run(fn)
-        assert results[1] == [(0, 1), (1, 1), (2, 1)]
-
     def test_split_builds_subcommunicators(self):
         w = World(nranks=6)
 
         def fn(ctx):
             sub = yield from ctx.comm.split(ctx.rank % 2)
-            total = yield from sub.allreduce(ctx.rank)
-            return (sub.size, sub.rank, total)
+            members = yield from sub.gather(ctx.rank, root=0)
+            return (sub.size, sub.rank, members)
 
         results = w.run(fn)
-        assert results[0] == (3, 0, 0 + 2 + 4)
-        assert results[1] == (3, 0, 1 + 3 + 5)
-        assert results[5] == (3, 2, 9)
+        assert results[0] == (3, 0, [0, 2, 4])
+        assert results[1] == (3, 0, [1, 3, 5])
+        assert results[5] == (3, 2, None)
 
     def test_collective_order_mismatch_detected(self):
         w = World(nranks=2)
@@ -134,7 +64,7 @@ class TestCollectives:
             if ctx.rank == 0:
                 yield from ctx.comm.barrier()
             else:
-                yield from ctx.comm.bcast("x", root=0)
+                yield from ctx.comm.gather("x", root=0)
 
         with pytest.raises(MpiError, match="mismatch"):
             w.run(fn)
@@ -143,67 +73,11 @@ class TestCollectives:
         w = World(nranks=2)
 
         def fn(ctx):
-            got = yield from ctx.comm.bcast("x", root=ctx.rank)
+            got = yield from ctx.comm.gather("x", root=ctx.rank)
             return got
 
         with pytest.raises(MpiError, match="root mismatch"):
             w.run(fn)
-
-
-class TestPointToPoint:
-    def test_send_then_recv(self):
-        w = World(nranks=2)
-
-        def fn(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(1, {"k": 1}, tag=5)
-                return None
-            got = yield from ctx.comm.recv(0, tag=5)
-            return got
-
-        assert w.run(fn)[1] == {"k": 1}
-
-    def test_recv_posted_before_send(self):
-        w = World(nranks=2)
-
-        def fn(ctx):
-            if ctx.rank == 1:
-                got = yield from ctx.comm.recv(0, tag=0)
-                return got
-            yield ctx.engine.timeout(2.0)
-            yield from ctx.comm.send(1, "late", tag=0)
-            return None
-
-        assert w.run(fn)[1] == "late"
-
-    def test_tags_do_not_cross(self):
-        w = World(nranks=2)
-
-        def fn(ctx):
-            if ctx.rank == 0:
-                yield from ctx.comm.send(1, "tagA", tag="a")
-                yield from ctx.comm.send(1, "tagB", tag="b")
-                return None
-            b = yield from ctx.comm.recv(0, tag="b")
-            a = yield from ctx.comm.recv(0, tag="a")
-            return (a, b)
-
-        assert w.run(fn)[1] == ("tagA", "tagB")
-
-    def test_message_order_preserved_per_tag(self):
-        w = World(nranks=2)
-
-        def fn(ctx):
-            if ctx.rank == 0:
-                for i in range(5):
-                    yield from ctx.comm.send(1, i)
-                return None
-            got = []
-            for _ in range(5):
-                got.append((yield from ctx.comm.recv(0)))
-            return got
-
-        assert w.run(fn)[1] == [0, 1, 2, 3, 4]
 
 
 class TestInterconnectCosts:
@@ -246,7 +120,7 @@ class TestWorld:
             if ctx.rank == 0:
                 yield from ctx.comm.barrier()  # rank 1 never arrives
             else:
-                yield from ctx.comm.recv(0, tag=99)  # never sent
+                yield ctx.engine.event()  # never triggered
 
         with pytest.raises(RuntimeError, match="never finished"):
             w.run(fn)
@@ -287,49 +161,3 @@ class TestWorld:
             World(nranks=0)
         with pytest.raises(ValueError):
             Communicator(World(nranks=1).engine, 0)
-
-
-class TestScanAndSendrecv:
-    def test_scan_inclusive_prefix(self):
-        w = World(nranks=5)
-
-        def fn(ctx):
-            got = yield from ctx.comm.scan(ctx.rank + 1)
-            return got
-
-        assert w.run(fn) == [1, 3, 6, 10, 15]
-
-    def test_scan_custom_op(self):
-        w = World(nranks=4)
-
-        def fn(ctx):
-            got = yield from ctx.comm.scan(
-                ctx.rank + 1, op=lambda a, b: a * b
-            )
-            return got
-
-        assert w.run(fn) == [1, 2, 6, 24]
-
-    def test_sendrecv_ring_shift(self):
-        w = World(nranks=4)
-
-        def fn(ctx):
-            right = (ctx.rank + 1) % 4
-            left = (ctx.rank - 1) % 4
-            got = yield from ctx.comm.sendrecv(right, ctx.rank, left)
-            return got
-
-        assert w.run(fn) == [3, 0, 1, 2]
-
-    def test_sendrecv_with_tags(self):
-        w = World(nranks=2)
-
-        def fn(ctx):
-            other = 1 - ctx.rank
-            got = yield from ctx.comm.sendrecv(
-                other, f"from{ctx.rank}", other,
-                sendtag="x", recvtag="x",
-            )
-            return got
-
-        assert w.run(fn) == ["from1", "from0"]

@@ -1,34 +1,12 @@
 """Unit tests for the MPI-IO middleware."""
 
-import pytest
-
 from repro.apps.harness import SimJob
-from repro.apps.mpiio import MpiFile, _coalesce, _Slab
+from repro.apps.mpiio import MpiFile
 from repro.iosys.machine import MachineConfig, MiB
 
 
 def job(ntasks=4, **kw):
     return SimJob(MachineConfig.testbox(), ntasks, **kw)
-
-
-class TestCoalesce:
-    def test_contiguous_merged(self):
-        out = _coalesce([(0, 10), (10, 10), (20, 5)])
-        assert out == [_Slab(0, 25)]
-
-    def test_gaps_kept_separate(self):
-        out = _coalesce([(0, 10), (20, 10)])
-        assert out == [_Slab(0, 10), _Slab(20, 10)]
-
-    def test_unsorted_input(self):
-        out = _coalesce([(20, 10), (0, 10), (10, 10)])
-        assert out == [_Slab(0, 30)]
-
-    def test_zero_length_dropped(self):
-        assert _coalesce([(5, 0), (0, 10)]) == [_Slab(0, 10)]
-
-    def test_empty(self):
-        assert _coalesce([]) == []
 
 
 class TestMpiFile:
@@ -73,63 +51,3 @@ class TestMpiFile:
         j.run(fn)
         lseeks = j.collector.trace.filter(ops=["lseek"])
         assert len(lseeks) == 2
-
-    def test_write_at_all_without_cb_is_independent_plus_barrier(self):
-        j = job(4)
-
-        def fn(ctx):
-            f = yield from MpiFile.open(ctx, "/m")
-            yield from f.write_at_all(ctx.rank * MiB, MiB)
-            yield from f.close()
-            return ctx.now
-
-        times = j.run(fn).per_rank
-        writes = j.collector.trace.writes()
-        assert len(writes) == 4
-        assert len(set(round(t, 9) for t in times)) == 1  # barrier synced
-
-    def test_write_at_all_with_aggregators_coalesces(self):
-        j = job(8)
-
-        def fn(ctx):
-            f = yield from MpiFile.open(ctx, "/m")
-            yield from f.write_at_all(ctx.rank * MiB, MiB, cb_nodes=2)
-            yield from f.close()
-            return None
-
-        j.run(fn)
-        writes = j.collector.trace.writes()
-        # 8 contiguous slabs -> 2 aggregator writes of 4 MiB each
-        assert len(writes) == 2
-        assert set(writes.sizes.tolist()) == {4 * MiB}
-        assert j.iosys.total_bytes_written() == 8 * MiB
-
-    def test_write_at_all_no_coalesce_keeps_slabs(self):
-        j = job(4)
-
-        def fn(ctx):
-            f = yield from MpiFile.open(ctx, "/m")
-            yield from f.write_at_all(
-                ctx.rank * MiB, MiB, cb_nodes=1, coalesce=False
-            )
-            yield from f.close()
-            return None
-
-        j.run(fn)
-        writes = j.collector.trace.writes()
-        assert len(writes) == 4
-        assert all(r == 0 for r in writes.ranks)  # all by the aggregator
-
-    def test_cb_gaps_not_merged(self):
-        j = job(4)
-
-        def fn(ctx):
-            f = yield from MpiFile.open(ctx, "/m")
-            # leave holes between slabs
-            yield from f.write_at_all(ctx.rank * 4 * MiB, MiB, cb_nodes=1)
-            yield from f.close()
-            return None
-
-        j.run(fn)
-        writes = j.collector.trace.writes()
-        assert len(writes) == 4

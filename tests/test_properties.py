@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from repro.ensembles.distribution import EmpiricalDistribution
 from repro.ensembles.order_stats import expected_max
-from repro.ensembles.segmentation import segment_by_generation, strip_labels
+from repro.ensembles.segmentation import strip_labels
 from repro.ensembles.timeseries import aggregate_rate
 from repro.ipm.events import Trace
 from repro.ipm.profile import StreamingHistogram
 from repro.sim.engine import Engine
-from repro.sim.resources import SharedPipe, SlotChannel
+from repro.sim.resources import SlotChannel
+from tests.bootstrap import bootstrap_ci
 
 MiB = 1024 * 1024
 
@@ -64,18 +65,6 @@ class TestTraceInvariants:
 
     @settings(max_examples=50, deadline=None)
     @given(events_strategy)
-    def test_generation_segmentation_conserves_events(self, events):
-        tr = build_trace(events)
-        seg = segment_by_generation(tr)
-        assert len(seg) == len(tr)
-        assert np.array_equal(seg.durations, tr.durations)
-        # every data op got a generation label; non-data ops none
-        labelled = seg.phases != ""
-        is_data = np.isin(tr.ops, ["read", "write", "pread", "pwrite"])
-        assert np.array_equal(labelled, is_data)
-
-    @settings(max_examples=50, deadline=None)
-    @given(events_strategy)
     def test_strip_labels_idempotent(self, events):
         tr = build_trace(events)
         a = strip_labels(tr)
@@ -102,32 +91,6 @@ class TestChannelConservation:
         assert all(ev.ok for ev in events)
         assert ch.bytes_transferred == float(sum(sizes))
         assert ch.queue_depth == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.floats(min_value=1.0, max_value=1e6),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_shared_pipe_completion_bound(self, sizes):
-        """No transfer finishes before its exclusive-use lower bound, and
-        the pipe drains completely."""
-        eng = Engine()
-        pipe = SharedPipe(eng, capacity=100.0)
-        finish = {}
-        for i, s in enumerate(sizes):
-            pipe.transfer(s).add_callback(
-                lambda ev, i=i: finish.__setitem__(i, eng.now)
-            )
-        eng.run()
-        assert pipe.n_active == 0
-        assert len(finish) == len(sizes)
-        for i, s in enumerate(sizes):
-            assert finish[i] >= s / 100.0 - 1e-9
-        # work conservation: total time >= total bytes / capacity
-        assert max(finish.values()) >= sum(sizes) / 100.0 - 1e-6
 
 
 class TestStatInvariants:
@@ -169,6 +132,6 @@ class TestStatInvariants:
     )
     def test_bootstrap_ci_brackets_point_estimate(self, values):
         d = EmpiricalDistribution(values)
-        lo, hi = d.bootstrap_ci(np.mean, n_boot=200)
+        lo, hi = bootstrap_ci(d, np.mean, n_boot=200)
         assert lo <= float(np.mean(values)) + 1e-9
         assert hi >= float(np.mean(values)) - 1e-9

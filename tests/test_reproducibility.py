@@ -19,6 +19,7 @@ from repro.apps.madbench import MadbenchConfig, run_madbench
 from repro.ensembles.compare import compare_ensembles
 from repro.ensembles.distribution import EmpiricalDistribution
 from repro.iosys.machine import MachineConfig, MiB
+from tests.bootstrap import bootstrap_ci
 
 
 def ior_cfg():
@@ -62,7 +63,7 @@ class TestRunToRunReproducibility:
 
     def test_moments_within_bootstrap_ci(self, runs):
         a, b = write_dist(runs[0]), write_dist(runs[1])
-        lo, hi = a.bootstrap_ci(np.median, n_boot=400)
+        lo, hi = bootstrap_ci(a, np.median, n_boot=400)
         assert lo <= b.median <= hi
 
     def test_wallclock_varies_more_than_the_ensemble(self, runs):

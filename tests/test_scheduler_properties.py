@@ -150,9 +150,22 @@ def _solo_checkpoint(ctx, nfiles):
 
 
 def _collective_writer(ctx):
-    """Two-phase MPI-IO write: reads ``ctx.world.comm_world``."""
+    """Two-phase write by hand: two aggregators gather their group's
+    slabs over a split communicator, pay ``ctx.world.comm_world``'s
+    shipping cost and write one coalesced run each."""
     f = yield from MpiFile.open(ctx, "/scratch/victim/coll.dat", 4)
-    yield from f.write_at_all(ctx.rank * MiB, MiB, cb_nodes=2)
+    comm = ctx.comm
+    sub = yield from comm.split(comm.rank * 2 // comm.size)
+    slabs = yield from sub.gather((ctx.rank * MiB, MiB), root=0)
+    if sub.rank == 0:
+        inter = ctx.world.comm_world.interconnect
+        ship = inter.collective_cost(sub.size, MiB * (sub.size - 1))
+        if ship > 0:
+            yield ctx.engine.timeout(ship)
+        yield from f.write_at(min(o for o, _n in slabs),
+                              sum(n for _o, n in slabs))
+    yield from sub.barrier()
+    yield from comm.barrier()
     yield from f.close()
     return None
 

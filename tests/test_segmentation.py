@@ -1,16 +1,9 @@
 """Tests: phase segmentation of unlabelled traces."""
 
 import numpy as np
-import pytest
 
 from repro.apps.ior import IorConfig, run_ior
-from repro.apps.madbench import MadbenchConfig, run_madbench
-from repro.ensembles.diagnose import diagnose
-from repro.ensembles.segmentation import (
-    segment_by_gaps,
-    segment_by_generation,
-    strip_labels,
-)
+from repro.ensembles.segmentation import segment_by_gaps, strip_labels
 from repro.ipm.events import Trace
 from repro.iosys.machine import MachineConfig, MiB
 
@@ -77,48 +70,3 @@ class TestGapSegmentation:
     def test_empty_trace(self):
         assert len(segment_by_gaps(Trace())) == 0
 
-
-class TestGenerationSegmentation:
-    def test_per_rank_counters(self):
-        tr = Trace()
-        for rank in range(3):
-            for i in range(4):
-                tr.record(rank, "write", "/f", 3, 0, 10, float(i), 0.5)
-        seg = segment_by_generation(tr)
-        for g in range(1, 5):
-            sub = seg.filter(phase=f"genW{g}")
-            assert len(sub) == 3
-
-    def test_reads_and_writes_counted_separately(self):
-        tr = Trace()
-        tr.record(0, "write", "/f", 3, 0, 10, 0.0, 0.1)
-        tr.record(0, "read", "/f", 3, 0, 10, 1.0, 0.1)
-        tr.record(0, "write", "/f", 3, 0, 10, 2.0, 0.1)
-        seg = segment_by_generation(tr)
-        assert list(seg.phases) == ["genW1", "genR1", "genW2"]
-
-    def test_metadata_ops_unlabelled(self):
-        tr = Trace()
-        tr.record(0, "open", "/f", 3, 0, 0, 0.0, 0.1)
-        tr.record(0, "write", "/f", 3, 0, 10, 1.0, 0.1)
-        seg = segment_by_generation(tr)
-        assert list(seg.phases) == ["", "genW1"]
-
-
-class TestEndToEndUnlabelled:
-    def test_madbench_deterioration_found_without_labels(self):
-        """The full point: a raw (label-free) capture of the buggy
-        MADbench run still yields the Figure 5a diagnosis after automatic
-        generation segmentation."""
-        machine = MachineConfig.franklin(
-            dirty_quota=MiB, noise_sigma=0.0, tail_prob=0.0
-        )
-        cfg = MadbenchConfig(
-            ntasks=16, n_matrices=8, matrix_bytes=8 * MiB - 1000,
-            stripe_count=4, machine=machine,
-        )
-        res = run_madbench(cfg)
-        bare = strip_labels(res.trace)
-        seg = segment_by_generation(bare)
-        findings = diagnose(seg, nranks=cfg.ntasks)
-        assert "progressive-deterioration" in {f.code for f in findings}

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import SimulationError
 from repro.sim.resources import (
     FifoQueueMixin,
-    Lock,
     Semaphore,
     Server,
-    SharedPipe,
     SlotChannel,
 )
 
@@ -79,51 +77,6 @@ class TestSlotChannel:
         ch = SlotChannel(engine, bandwidth=1.0)
         with pytest.raises(ValueError):
             ch.transfer(-1.0)
-
-
-class TestSharedPipe:
-    def test_single_transfer_full_rate(self, engine):
-        pipe = SharedPipe(engine, capacity=10.0)
-        ev = pipe.transfer(50.0)
-        assert completions(engine, [ev]) == [5.0]
-
-    def test_two_equal_transfers_share(self, engine):
-        pipe = SharedPipe(engine, capacity=10.0)
-        evs = [pipe.transfer(10.0), pipe.transfer(10.0)]
-        assert completions(engine, evs) == [2.0, 2.0]
-
-    def test_late_arrival_resharing(self, engine):
-        pipe = SharedPipe(engine, capacity=10.0)
-        first = pipe.transfer(20.0)  # alone: would finish at t=2
-
-        def late():
-            yield engine.timeout(1.0)
-            ev = pipe.transfer(10.0)
-            yield ev
-            return engine.now
-
-        p = engine.process(late())
-        done = completions(engine, [first])
-        # first: 10 bytes in [0,1) at rate 10, then 10 bytes at rate 5 -> t=3
-        assert done == [pytest.approx(3.0)]
-        # late: 10 bytes at rate 5 until t=3 (done); exactly at t=3
-        assert p.value == pytest.approx(3.0)
-
-    def test_departure_speeds_up_remaining(self, engine):
-        pipe = SharedPipe(engine, capacity=10.0)
-        small = pipe.transfer(10.0)
-        big = pipe.transfer(30.0)
-        times = completions(engine, [small, big])
-        # both at rate 5 until small done (t=2); big has 20 left at rate 10
-        assert times == [pytest.approx(2.0), pytest.approx(4.0)]
-
-    def test_bytes_conserved(self, engine):
-        pipe = SharedPipe(engine, capacity=3.0)
-        for n in (1.0, 2.0, 3.0):
-            pipe.transfer(n)
-        engine.run()
-        assert pipe.bytes_transferred == 6.0
-        assert pipe.n_active == 0
 
 
 class TestServer:
@@ -198,30 +151,6 @@ class TestFifoQueueMixin:
         assert samples == {5.0: 3, 15.0: 2, 25.0: 1, 35.0: 0}
 
 
-class TestLock:
-    def test_mutual_exclusion_fifo(self, engine):
-        lock = Lock(engine)
-        order = []
-
-        def worker(tag, hold):
-            yield lock.acquire()
-            order.append(("in", tag, engine.now))
-            yield engine.timeout(hold)
-            lock.release()
-
-        for tag in range(3):
-            engine.process(worker(tag, 2.0))
-        engine.run()
-        assert order == [("in", 0, 0.0), ("in", 1, 2.0), ("in", 2, 4.0)]
-        assert lock.acquisitions == 3
-        assert lock.contended_acquisitions == 2
-
-    def test_release_unheld_raises(self, engine):
-        lock = Lock(engine)
-        with pytest.raises(SimulationError):
-            lock.release()
-
-
 class TestSemaphore:
     def test_capacity_limits_concurrency(self, engine):
         sem = Semaphore(engine, capacity=2)
@@ -253,30 +182,3 @@ class TestSemaphore:
         assert sem.available == 1
         sem.release()
         assert sem.available == 2
-
-
-class TestSharedPipeNumerics:
-    """Regression: float residue from repeated resharing must not spin the
-    completion timer forever (found by hypothesis)."""
-
-    def test_adversarial_sizes_drain(self):
-        import random
-
-        rng = random.Random(0)
-        for _ in range(50):
-            eng = Engine()
-            pipe = SharedPipe(eng, capacity=100.0)
-            sizes = [rng.uniform(1.0, 1e6) for _ in range(rng.randint(1, 12))]
-            events = [pipe.transfer(s) for s in sizes]
-            eng.run(until=1e9)
-            assert pipe.n_active == 0
-            assert all(ev.ok for ev in events)
-
-    def test_tiny_and_huge_mix(self):
-        eng = Engine()
-        pipe = SharedPipe(eng, capacity=3.0)
-        evs = [pipe.transfer(s) for s in (1e-9, 1e6, 1.0, 1e-9, 999999.5)]
-        eng.run(until=1e9)
-        assert pipe.n_active == 0
-        assert all(ev.ok for ev in evs)
-        assert eng.event_count < 100
