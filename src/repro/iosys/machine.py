@@ -54,7 +54,7 @@ class MachineConfig:
     #: age (seconds) at which a dirty page-cache extent is flushed by
     #: background writeback
     writeback_delay: float = 30.0
-    #: the job's message-passing network (collective and p2p costs)
+    #: the job's message-passing network (collective costs)
     interconnect: Interconnect = Interconnect(latency=5e-6, bandwidth=1.6e9)
 
     # -- file system ----------------------------------------------------------

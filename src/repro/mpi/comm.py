@@ -29,7 +29,7 @@ class MpiError(SimulationError):
 
 
 def _deliver(ev: Event, value: Any) -> None:
-    """Succeed a message/collective event -- the completion the engine
+    """Succeed a collective event -- the completion the engine
     schedules after the modelled transfer time (pooled on the fast path,
     so this must stay a plain module function, not a closure)."""
     ev.succeed(value)
@@ -40,7 +40,7 @@ class Interconnect:
     """Alpha-beta communication cost model (an immutable value).
 
     ``latency`` is the per-hop software+wire latency (seconds); ``bandwidth``
-    is the per-link point-to-point bandwidth (bytes/second).  Collectives are
+    is the per-link bandwidth (bytes/second).  Collectives are
     costed as ``ceil(log2(P))`` latency steps plus the serialized byte time
     of the data each rank contributes, which is the standard tree-algorithm
     estimate.  A zero-cost interconnect (a bare ``World``'s default) makes
@@ -50,9 +50,6 @@ class Interconnect:
 
     latency: float = 0.0
     bandwidth: float = float("inf")
-
-    def p2p_cost(self, nbytes: float) -> float:
-        return self.latency + nbytes / self.bandwidth
 
     def collective_cost(self, nranks: int, nbytes: float) -> float:
         if nranks <= 1:

@@ -83,12 +83,10 @@ class TestCollectives:
 class TestInterconnectCosts:
     def test_zero_cost_default(self):
         ic = Interconnect()
-        assert ic.p2p_cost(1e9) == 0.0
         assert ic.collective_cost(1024, 1e9) == 0.0
 
     def test_alpha_beta_model(self):
         ic = Interconnect(latency=1e-6, bandwidth=1e9)
-        assert ic.p2p_cost(1e9) == pytest.approx(1.0 + 1e-6)
         # 1024 ranks -> 10 latency steps
         assert ic.collective_cost(1024, 0.0) == pytest.approx(10e-6)
 
