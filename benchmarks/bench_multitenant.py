@@ -21,6 +21,8 @@ from repro.experiments import fig_interference
 from repro.iosys.machine import MachineConfig
 from repro.iosys.scheduler import Facility, TenantJob
 
+from paired import paired_runs
+
 _REPS = 9
 
 _JOBS = (
@@ -57,34 +59,14 @@ def test_multitenant_overhead(run_once, benchmark):
     """Per-tenant accounting must cost <10% wall time on the same seeded
     two-tenant facility.
 
-    The two arms run as adjacent pairs and the gate takes the *minimum
-    paired ratio*: a load burst on a shared machine can outlast any
-    single measurement, but it cannot contaminate all N tightly-spaced
-    pairs, and a genuine hook-cost regression inflates every pair.
-    Order alternates so in-process drift (allocator growth, interpreter
-    state) never systematically taxes one arm.
+    The gate takes the *minimum* of the alternating paired ratios
+    (``paired.py``); the record adds their median and quartiles.
     """
 
-    def scenario():
-        pairs = []
-        _timed_run(False)  # warm both code paths before timing
-        _timed_run(True)
-        for rep in range(_REPS):
-            if rep % 2 == 0:
-                off = _timed_run(False)
-                on = _timed_run(True)
-            else:
-                on = _timed_run(True)
-                off = _timed_run(False)
-            pairs.append((off, on))
-        return pairs
-
-    pairs = run_once(scenario)
-    overhead = min(on / off for off, on in pairs) - 1.0
-    off, on = min(p[0] for p in pairs), min(p[1] for p in pairs)
-    benchmark.extra_info["wall_off_s"] = round(off, 4)
-    benchmark.extra_info["wall_on_s"] = round(on, 4)
-    benchmark.extra_info["overhead_pct"] = round(100.0 * overhead, 2)
+    paired = run_once(paired_runs, _timed_run, _REPS)
+    benchmark.extra_info.update(paired.extra_info())
+    overhead = paired.min_ratio - 1.0
+    off, on = paired.best
     assert overhead < 0.10, (
         f"per-tenant accounting overhead {100 * overhead:.1f}% exceeds "
         f"the 10% bound (best paired off {off:.4f}s, on {on:.4f}s)"

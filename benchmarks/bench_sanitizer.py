@@ -14,7 +14,7 @@ Two gates:
   (resource annotations live, race windows tracked, telemetry frozen at
   export) must stay under 25% over the identical seeded run with it off.
 
-Both use interleaved best-of-N wall-time pairs, like ``bench_telemetry``:
+Both take the minimum of interleaved wall-time pairs (``paired.py``):
 a shared-machine load burst cannot contaminate every tightly-spaced
 pair, while a genuine cost regression inflates all of them.  The
 assertions use their own ``perf_counter`` timings so they still guard
@@ -30,6 +30,8 @@ from repro.apps.harness import SimJob
 from repro.iosys.machine import MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR
 from repro.sim.engine import Engine
+
+from paired import paired_runs
 
 _NTASKS = 32
 _NREC = 64
@@ -76,32 +78,13 @@ def _timed_chain(sanitize: bool) -> float:
     return time.perf_counter() - t0
 
 
-def _paired(timed, *, warmup: bool = True):
-    if warmup:
-        timed(False)
-        timed(True)
-    pairs = []
-    for rep in range(_REPS):
-        if rep % 2 == 0:
-            off = timed(False)
-            on = timed(True)
-        else:
-            on = timed(True)
-            off = timed(False)
-        pairs.append((off, on))
-    return pairs
-
-
 def test_sanitize_off_is_free(run_once, benchmark):
     """The per-pop hook must cost ~nothing when no event is annotated;
     the off arm pays only the ``sanitize`` flag read."""
-    pairs = run_once(_paired, _timed_chain)
-    overhead = min(on / off for off, on in pairs) - 1.0
-    off, on = min(p[0] for p in pairs), min(p[1] for p in pairs)
+    paired = run_once(paired_runs, _timed_chain, _REPS)
     benchmark.extra_info["events"] = _CHAIN_EVENTS
-    benchmark.extra_info["wall_off_s"] = round(off, 4)
-    benchmark.extra_info["wall_on_s"] = round(on, 4)
-    benchmark.extra_info["overhead_pct"] = round(100.0 * overhead, 2)
+    benchmark.extra_info.update(paired.extra_info())
+    overhead = paired.min_ratio - 1.0
     assert overhead < 0.05, (
         f"bare dispatch with the sanitizer enabled costs "
         f"{100 * overhead:.1f}% (> 5% noise floor); the off path must "
@@ -112,12 +95,10 @@ def test_sanitize_off_is_free(run_once, benchmark):
 def test_sanitizer_overhead(run_once, benchmark):
     """Full-stack ``sanitize=True`` (annotations + race windows +
     telemetry freeze) must stay under the 25% acceptance bound."""
-    pairs = run_once(_paired, _timed_job)
-    overhead = min(on / off for off, on in pairs) - 1.0
-    off, on = min(p[0] for p in pairs), min(p[1] for p in pairs)
-    benchmark.extra_info["wall_off_s"] = round(off, 4)
-    benchmark.extra_info["wall_on_s"] = round(on, 4)
-    benchmark.extra_info["overhead_pct"] = round(100.0 * overhead, 2)
+    paired = run_once(paired_runs, _timed_job, _REPS)
+    benchmark.extra_info.update(paired.extra_info())
+    overhead = paired.min_ratio - 1.0
+    off, on = paired.best
     assert overhead < 0.25, (
         f"sanitizer overhead {100 * overhead:.1f}% exceeds the 25% bound "
         f"(best paired off {off:.4f}s, on {on:.4f}s)"

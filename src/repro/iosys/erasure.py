@@ -31,7 +31,7 @@ costs this module makes explicit:
 
 Geometry lives on :attr:`base`, the data placement (also exposed as
 :attr:`data_layout`).  The descriptor itself answers group and footprint
-queries: :meth:`bytes_per_ost` and :meth:`osts_touched` report the
+queries: :meth:`bytes_per_ost` reports the
 extent's *full device footprint* -- data bytes plus the parity bytes
 the extent's groups would update -- which is what write stall queries
 and slow-factor maxima must consult.
@@ -40,7 +40,7 @@ and slow-factor maxima must consult.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .striping import StripeLayout
 
@@ -218,33 +218,23 @@ class ErasureCodedLayout:
         return sum(u.total_parity_bytes for u in self.parity_updates(offset, length))
 
     # -- footprints --------------------------------------------------------
-    def bytes_per_ost(self, offset: int, length: int) -> Dict[int, int]:
+    def bytes_per_ost(
+        self, offset: int, length: int,
+        data: Optional[Dict[int, int]] = None,
+    ) -> Dict[int, int]:
         """The extent's full device footprint: data bytes plus the parity
         bytes its groups would update.  This is the set a *write* stall
         query must consult -- a stalled parity device blocks the commit
         just as a stalled data device does.  Data-only placement (what a
-        read touches) comes from ``data_layout.bytes_per_ost``."""
-        acc: Dict[int, int] = dict(self.base.bytes_per_ost(offset, length))
+        read touches) comes from ``data_layout.bytes_per_ost``; a caller
+        that already holds it passes it as ``data`` (it is not changed)."""
+        if data is None:
+            data = self.base.bytes_per_ost(offset, length)
+        acc: Dict[int, int] = dict(data)
         for upd in self.parity_updates(offset, length):
             for d in upd.parity_osts:
                 acc[d] = acc.get(d, 0) + upd.nbytes
         return acc
-
-    def osts_touched(self, offset: int, length: int) -> Tuple[int, ...]:
-        """Devices of the full write footprint: data devices then the
-        parity devices of every touched group."""
-        seen: Set[int] = set()
-        out: List[int] = []
-        for ost in self.base.osts_touched(offset, length):
-            if ost not in seen:
-                seen.add(ost)
-                out.append(ost)
-        for upd in self.parity_updates(offset, length):
-            for ost in upd.parity_osts:
-                if ost not in seen:
-                    seen.add(ost)
-                    out.append(ost)
-        return tuple(out)
 
     # -- degraded reads ----------------------------------------------------
     def reconstruction_plan(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "FaultWindow",
@@ -205,6 +205,14 @@ class FaultSchedule:
             if w.kind == STALL and w.active_at(t) and w.device in devices:
                 end = w.t_end if end is None else max(end, w.t_end)
         return end
+
+    def stalled_devices(self, t: float) -> Set[int]:
+        """Devices an active stall window covers at time ``t``: ``d`` is
+        in the set exactly when ``stall_end(t, (d,))`` is not None."""
+        return {
+            w.device for w in self.windows
+            if w.kind == STALL and w.active_at(t)
+        }
 
     def mds_factor(self, t: float) -> float:
         """Metadata service-time multiplier at time ``t``."""

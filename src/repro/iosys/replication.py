@@ -18,22 +18,34 @@ stays put.  Writes pay for the redundancy up front: every copy consumes
 real bandwidth and real RPCs on its own device.
 
 Geometry lives on :attr:`base` (the primary copy's
-:class:`~repro.iosys.striping.StripeLayout`); :meth:`replica` returns
-the plain layout of any copy.  Besides copy placement, the descriptor
-answers footprint queries: :meth:`bytes_per_ost` and
-:meth:`osts_touched` report the extent's *full device footprint*, the
-union over all copies -- what a mirrored write, which must reach every
-copy, has to wait on.
+:class:`~repro.iosys.striping.StripeLayout`); every copy's plain layout
+is built once, at construction, and :meth:`replica` returns the stored
+one.  Besides copy placement, the descriptor answers footprint queries:
+:meth:`bytes_per_ost` reports the extent's *full device footprint*,
+the union over all copies -- what a mirrored write, which must reach
+every copy, has to wait on.
+:func:`union_footprint` forms that union from per-copy footprints a
+caller already holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Tuple
 
 from .striping import StripeLayout
 
-__all__ = ["ReplicatedLayout"]
+__all__ = ["ReplicatedLayout", "union_footprint"]
+
+
+def union_footprint(copies: Iterable[Dict[int, int]]) -> Dict[int, int]:
+    """Bytes per device summed over per-copy footprints, keyed in copy
+    order then each copy's own key order (primary first)."""
+    acc: Dict[int, int] = {}
+    for footprint in copies:
+        for ost, nbytes in footprint.items():
+            acc[ost] = acc.get(ost, 0) + nbytes
+    return acc
 
 
 @dataclass(frozen=True)
@@ -42,6 +54,10 @@ class ReplicatedLayout:
 
     base: StripeLayout
     replica_count: int
+    #: every copy's layout, primary first, built once from the fields
+    _copies: Tuple[StripeLayout, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.replica_count < 1:
@@ -51,6 +67,16 @@ class ReplicatedLayout:
                 f"replica_count must be in [1, n_osts]: "
                 f"{self.replica_count} vs {self.base.n_osts}"
             )
+        b, shift = self.base, self.replica_shift
+        object.__setattr__(self, "_copies", (b,) + tuple(
+            StripeLayout(
+                stripe_size=b.stripe_size,
+                stripe_count=b.stripe_count,
+                n_osts=b.n_osts,
+                start_ost=(b.start_ost + r * shift) % b.n_osts,
+            )
+            for r in range(1, self.replica_count)
+        ))
 
     # -- placement ------------------------------------------------------------
     @property
@@ -71,19 +97,11 @@ class ReplicatedLayout:
                 f"replica index {r} out of range for "
                 f"{self.replica_count} copies"
             )
-        if r == 0:
-            return self.base
-        return StripeLayout(
-            stripe_size=self.base.stripe_size,
-            stripe_count=self.base.stripe_count,
-            n_osts=self.base.n_osts,
-            start_ost=(self.base.start_ost + r * self.replica_shift)
-            % self.base.n_osts,
-        )
+        return self._copies[r]
 
     def layouts(self) -> Tuple[StripeLayout, ...]:
         """Every copy's layout, primary first."""
-        return tuple(self.replica(r) for r in range(self.replica_count))
+        return self._copies
 
     def ost_of_stripe(self, stripe_index: int, r: int = 0) -> int:
         """OST serving copy ``r`` of the given stripe."""
@@ -91,10 +109,7 @@ class ReplicatedLayout:
 
     def replica_osts(self, stripe_index: int) -> Tuple[int, ...]:
         """All devices holding a copy of the stripe, primary first."""
-        return tuple(
-            self.ost_of_stripe(stripe_index, r)
-            for r in range(self.replica_count)
-        )
+        return tuple(c.ost_of_stripe(stripe_index) for c in self._copies)
 
     def bytes_per_ost(self, offset: int, length: int) -> Dict[int, int]:
         """The extent's full device footprint: bytes each OST holds summed
@@ -107,21 +122,7 @@ class ReplicatedLayout:
         mean the extent is unreadable; per-copy reachability -- "can copy
         ``r`` serve this read?" -- comes from querying ``replica(r)``'s
         own (single-copy) footprint instead."""
-        acc: Dict[int, int] = {}
-        for r in range(self.replica_count):
-            for ost, nbytes in self.replica(r).bytes_per_ost(
-                offset, length
-            ).items():
-                acc[ost] = acc.get(ost, 0) + nbytes
-        return acc
+        return union_footprint(
+            c.bytes_per_ost(offset, length) for c in self._copies
+        )
 
-    def osts_touched(self, offset: int, length: int) -> Tuple[int, ...]:
-        """Devices of the full footprint (all copies), primary copy first."""
-        seen: set = set()
-        out: List[int] = []
-        for r in range(self.replica_count):
-            for ost in self.replica(r).osts_touched(offset, length):
-                if ost not in seen:
-                    seen.add(ost)
-                    out.append(ost)
-        return tuple(out)

@@ -82,79 +82,84 @@ __all__ = [
 
 def _wl_ior(ctx, nrec: int = 8, rec_mib: float = 1.0):
     """IOR-class shared-file N-1 writer (write-through)."""
+    io = ctx.io
     rec = int(rec_mib * MiB)
     path = f"/scratch/{ctx.job.name}/ior.dat"
     if ctx.rank == 0:
         ctx.iosys.set_stripe_count(path, ctx.machine.n_osts)
-        fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY | O_SYNC)
+        fd = yield from io.open(path, O_CREAT | O_WRONLY | O_SYNC)
         yield from ctx.comm.barrier()
     else:
         yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_WRONLY | O_SYNC)
-    ctx.io.region("write")
+        fd = yield from io.open(path, O_WRONLY | O_SYNC)
+    io.region("write")
     base = ctx.rank * nrec * rec
     for i in range(nrec):
-        yield from ctx.io.pwrite(fd, rec, base + i * rec)
+        yield from io.pwrite(fd, rec, base + i * rec)
     yield from ctx.comm.barrier()
-    yield from ctx.io.close(fd)
+    yield from io.close(fd)
     return nrec * rec
 
 
 def _wl_madbench(ctx, nrec: int = 6, rec_mib: float = 1.0):
     """MADbench-class file-per-task writer/reader (UNIQUE mode)."""
+    io = ctx.io
     rec = int(rec_mib * MiB)
     path = f"/scratch/{ctx.job.name}/task{ctx.rank}.dat"
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR | O_SYNC)
-    ctx.io.region("write")
+    fd = yield from io.open(path, O_CREAT | O_RDWR | O_SYNC)
+    io.region("write")
     for i in range(nrec):
-        yield from ctx.io.pwrite(fd, rec, i * rec)
+        yield from io.pwrite(fd, rec, i * rec)
     yield from ctx.comm.barrier()
-    ctx.io.region("read")
+    io.region("read")
     for i in range(nrec):
-        yield from ctx.io.pread(fd, rec, i * rec)
-    yield from ctx.io.close(fd)
+        yield from io.pread(fd, rec, i * rec)
+    yield from io.close(fd)
     return 2 * nrec * rec
 
 
 def _wl_gcrm(ctx, nwrites: int = 16, size: int = 180_224):
     """GCRM-class shared-file writer with small unaligned records."""
+    io = ctx.io
     path = f"/scratch/{ctx.job.name}/restart.dat"
     if ctx.rank == 0:
-        fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY | O_SYNC)
+        fd = yield from io.open(path, O_CREAT | O_WRONLY | O_SYNC)
         yield from ctx.comm.barrier()
     else:
         yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_WRONLY | O_SYNC)
-    ctx.io.region("write")
+        fd = yield from io.open(path, O_WRONLY | O_SYNC)
+    io.region("write")
     base = ctx.rank * nwrites * size
     for i in range(nwrites):
-        yield from ctx.io.pwrite(fd, size, base + i * size)
+        yield from io.pwrite(fd, size, base + i * size)
     yield from ctx.comm.barrier()
-    yield from ctx.io.close(fd)
+    yield from io.close(fd)
     return nwrites * size
 
 
 def _wl_mds_storm(ctx, nfiles: int = 6):
     """Metadata aggressor: create/stat/close churn, no payload bytes."""
+    io = ctx.io
     for i in range(nfiles):
         path = f"/scratch/{ctx.job.name}/meta{ctx.rank}_{i}.dat"
-        fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY)
-        yield from ctx.io.close(fd)
-        yield from ctx.io.stat(path)
+        fd = yield from io.open(path, O_CREAT | O_WRONLY)
+        yield from io.close(fd)
+        yield from io.stat(path)
     return nfiles
 
 
 def _wl_bandwidth_hog(ctx, nrec: int = 4, rec_mib: float = 2.0):
     """Bandwidth aggressor: file-per-task streams striped over the whole
     pool, so every OST serves one extra active file for the duration."""
+    io = ctx.io
     rec = int(rec_mib * MiB)
     path = f"/scratch/{ctx.job.name}/hog{ctx.rank}.dat"
     ctx.iosys.set_stripe_count(path, ctx.machine.n_osts)
-    fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY | O_SYNC)
-    ctx.io.region("write")
+    fd = yield from io.open(path, O_CREAT | O_WRONLY | O_SYNC)
+    io.region("write")
     for i in range(nrec):
-        yield from ctx.io.pwrite(fd, rec, i * rec)
-    yield from ctx.io.close(fd)
+        yield from io.pwrite(fd, rec, i * rec)
+    yield from io.close(fd)
     return nrec * rec
 
 
@@ -167,16 +172,17 @@ def _wl_checkpoint(
     write-through data ops, so either an MDS storm or a bandwidth hog
     next door shows up as a slow interval in its own trace.  Files go
     under ``directory`` (default ``/scratch/<job name>``)."""
+    io = ctx.io
     rec = int(rec_mib * MiB)
     if directory is None:
         directory = f"/scratch/{ctx.job.name}"
     total = 0
     for i in range(nfiles):
         path = f"{directory}/ckpt{ctx.rank}_{i}.dat"
-        fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY | O_SYNC)
-        ctx.io.region("write")
-        yield from ctx.io.pwrite(fd, rec, 0)
-        yield from ctx.io.close(fd)
+        fd = yield from io.open(path, O_CREAT | O_WRONLY | O_SYNC)
+        io.region("write")
+        yield from io.pwrite(fd, rec, 0)
+        yield from io.close(fd)
         total += rec
     return total
 
@@ -184,12 +190,13 @@ def _wl_checkpoint(
 def _wl_idle(ctx, nops: int = 4, pause: float = 0.5):
     """Nearly-idle co-tenant (negative control): a trickle of small
     writes separated by think time."""
+    io = ctx.io
     path = f"/scratch/{ctx.job.name}/log{ctx.rank}.dat"
-    fd = yield from ctx.io.open(path, O_CREAT | O_WRONLY)
+    fd = yield from io.open(path, O_CREAT | O_WRONLY)
     for i in range(nops):
-        yield from ctx.io.pwrite(fd, 4096, i * 4096)
+        yield from io.pwrite(fd, 4096, i * 4096)
         yield ctx.engine.timeout(pause)
-    yield from ctx.io.close(fd)
+    yield from io.close(fd)
     return nops * 4096
 
 
@@ -202,21 +209,22 @@ def shared_write(
     writes its own contiguous block of ``nrec`` records of ``rec`` bytes.
     ``fence`` adds a barrier before and after the writes, so every rank
     starts and ends its block together (a streaming saturation test)."""
+    io = ctx.io
     if ctx.rank == 0 and ctx.iosys.lookup(path) is None:
         ctx.iosys.set_stripe_count(path, stripe_count)
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
+        fd = yield from io.open(path, O_CREAT | O_RDWR)
         yield from ctx.comm.barrier()
     else:
         yield from ctx.comm.barrier()
-        fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
+        fd = yield from io.open(path, O_CREAT | O_RDWR)
     if fence:
         yield from ctx.comm.barrier()
     base = ctx.rank * nrec * rec
     for j in range(nrec):
-        yield from ctx.io.pwrite(fd, rec, base + j * rec)
+        yield from io.pwrite(fd, rec, base + j * rec)
     if fence:
         yield from ctx.comm.barrier()
-    yield from ctx.io.close(fd)
+    yield from io.close(fd)
     return None
 
 
@@ -227,17 +235,18 @@ def fpt_write_read(
     ``wsize`` bytes to ``<base>.<rank>`` (striped over ``stripe_count``
     OSTs), meets the others at a barrier, then reads the same bytes back
     in records of ``rsize``."""
+    io = ctx.io
     path = f"{base}.{ctx.rank:04d}"
     ctx.iosys.set_stripe_count(path, stripe_count)
-    fd = yield from ctx.io.open(path, O_CREAT | O_RDWR)
-    ctx.io.region("write")
+    fd = yield from io.open(path, O_CREAT | O_RDWR)
+    io.region("write")
     for j in range(nrec):
-        yield from ctx.io.pwrite(fd, wsize, j * wsize)
+        yield from io.pwrite(fd, wsize, j * wsize)
     yield from ctx.comm.barrier()
-    ctx.io.region("read")
+    io.region("read")
     for j in range(nrec * wsize // rsize):
-        yield from ctx.io.pread(fd, rsize, j * rsize)
-    yield from ctx.io.close(fd)
+        yield from io.pread(fd, rsize, j * rsize)
+    yield from io.close(fd)
     return None
 
 

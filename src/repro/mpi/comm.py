@@ -205,7 +205,6 @@ class RankComm:
             for c, k, r in state.values:
                 groups.setdefault(c, []).append((k, r))
             # build one Communicator per color, ordered by key then old rank
-            new_comms: Dict[int, Communicator] = {}
             assignment: Dict[int, Tuple[Communicator, int]] = {}
             for c, members in groups.items():
                 members.sort()
@@ -215,7 +214,6 @@ class RankComm:
                     self._comm.interconnect,
                     name=f"{self._comm.name}.split({c})",
                 )
-                new_comms[c] = sub
                 for new_rank, (_k, old_rank) in enumerate(members):
                     assignment[old_rank] = (sub, new_rank)
             results = [
