@@ -7,58 +7,26 @@ paper-scale experiments (10,240 tasks) run in minutes.
 
 Measurement discipline: each round builds its scenario in pedantic
 ``setup`` and times ONLY ``engine.run()`` -- steady-state dispatch, no
-construction or teardown in the measured window.  Each benchmark also
-attaches a paired reference-vs-fastpath comparison to ``extra_info``
-(same scenario, best-of-N wall time on both dispatch paths, measured
-back-to-back in this process): ``fastpath_speedup`` is the ratio the
-fast path (see ``repro.sim.fastpath``) buys, tracked as data rather than
-asserted, since absolute host speed varies.
+construction or teardown in the measured window.  The throughput in
+``extra_info`` (``events_per_s``, ``transfers_per_s``, ``sim_ops_per_s``)
+divides by the fastest of those rounds; it is absent when timing is
+disabled (``--benchmark-disable``).
 """
-
-import time
 
 from repro.iosys.machine import KiB, MachineConfig, MiB
 from repro.iosys.posix import O_CREAT, O_RDWR, IoSystem
 from repro.mpi.runtime import World
 from repro.sim.engine import Engine
-from repro.sim.fastpath import forced_path
 from repro.sim.resources import SlotChannel
 from repro.sim.rng import RngStreams
 
 N_EVENTS = 20000
-#: rounds for the in-test paired path comparison (best-of-N each path)
-PAIR_ROUNDS = 5
-
-
-def _paired_speedup(build):
-    """Best-of-N ``engine.run()`` seconds on each dispatch path.
-
-    ``build`` returns a primed engine (work scheduled, not yet run);
-    construction stays outside the timed window, mirroring the pedantic
-    measurement.
-    """
-
-    def best(fast):
-        times = []
-        with forced_path(fast):
-            for _ in range(PAIR_ROUNDS):
-                engine = build()
-                t0 = time.perf_counter()
-                engine.run()
-                times.append(time.perf_counter() - t0)
-        return min(times)
-
-    reference_s = best(False)
-    fastpath_s = best(True)
-    return {
-        "reference_min_s": reference_s,
-        "fastpath_min_s": fastpath_s,
-        "fastpath_speedup": reference_s / fastpath_s,
-    }
 
 
 def _bench_run(benchmark, build, rounds=10):
-    """Steady-state: build in setup, time ``run()`` alone."""
+    """Steady-state: build in setup, time ``run()`` alone.  Returns the
+    event count and the fastest round's seconds (None when timing is
+    disabled)."""
 
     def setup():
         return (build(),), {}
@@ -67,8 +35,10 @@ def _bench_run(benchmark, build, rounds=10):
         engine.run()
         return engine.event_count
 
-    return benchmark.pedantic(run, setup=setup, rounds=rounds,
-                              warmup_rounds=1)
+    events = benchmark.pedantic(run, setup=setup, rounds=rounds,
+                                warmup_rounds=1)
+    stats = benchmark.stats
+    return events, (stats.stats.min if stats else None)
 
 
 def test_engine_timeout_throughput(benchmark):
@@ -83,11 +53,10 @@ def test_engine_timeout_throughput(benchmark):
             eng.process(proc())
         return eng
 
-    events = _bench_run(benchmark, build)
+    events, best_s = _bench_run(benchmark, build)
     benchmark.extra_info["events"] = events
-    pair = _paired_speedup(build)
-    benchmark.extra_info.update(pair)
-    benchmark.extra_info["events_per_s"] = events / pair["fastpath_min_s"]
+    if best_s:
+        benchmark.extra_info["events_per_s"] = events / best_s
 
 
 def test_slot_channel_throughput(benchmark):
@@ -98,11 +67,10 @@ def test_slot_channel_throughput(benchmark):
             ch.transfer(1e6)
         return eng
 
-    events = _bench_run(benchmark, build)
+    events, best_s = _bench_run(benchmark, build)
     benchmark.extra_info["events"] = events
-    pair = _paired_speedup(build)
-    benchmark.extra_info.update(pair)
-    benchmark.extra_info["transfers_per_s"] = 5000 / pair["fastpath_min_s"]
+    if best_s:
+        benchmark.extra_info["transfers_per_s"] = 5000 / best_s
 
 
 def test_full_stack_ops_per_second(benchmark):
@@ -112,10 +80,7 @@ def test_full_stack_ops_per_second(benchmark):
     64 ranks interleave unaligned records into one shared file on the
     Franklin preset, so every write crosses stripe boundaries, leaves
     ragged head/tail stripes, and revokes a neighbour's extent locks --
-    the striping and lock layers are on the measured path.  The full
-    stack spends most of its time above the dispatch loop, so its
-    ``fastpath_speedup`` is the honest end-to-end number (Amdahl), not
-    the microbenchmark ratio.
+    the striping and lock layers are on the measured path.
     """
     nranks, nwrites = 64, 32
     record = 3 * MiB + 123 * KiB  # never a stripe multiple
@@ -143,9 +108,8 @@ def test_full_stack_ops_per_second(benchmark):
         return world.engine
 
     sim_ops = nranks * (nwrites + 2)
-    events = _bench_run(benchmark, build, rounds=5)
+    events, best_s = _bench_run(benchmark, build, rounds=5)
     benchmark.extra_info["sim_ops"] = sim_ops
     benchmark.extra_info["engine_events"] = events
-    pair = _paired_speedup(build)
-    benchmark.extra_info.update(pair)
-    benchmark.extra_info["sim_ops_per_s"] = sim_ops / pair["fastpath_min_s"]
+    if best_s:
+        benchmark.extra_info["sim_ops_per_s"] = sim_ops / best_s

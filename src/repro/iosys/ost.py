@@ -380,7 +380,11 @@ class OstPool:
         if not cfg.ost_slowdown and cfg.faults is None:
             return 1.0
         slow = cfg.ost_slowdown
-        factor = max((slow.get(ost, 1.0) for ost in footprint), default=1.0)
+        factor = 1.0
+        if slow:
+            factor = max(
+                (slow.get(ost, 1.0) for ost in footprint), default=1.0
+            )
         if cfg.faults is not None and now is not None:
             factor = max(factor, cfg.faults.degrade_factor(now, footprint))
         return factor

@@ -30,7 +30,7 @@ class MpiError(SimulationError):
 
 def _deliver(ev: Event, value: Any) -> None:
     """Succeed a collective event -- the completion the engine
-    schedules after the modelled transfer time (pooled on the fast path,
+    schedules after the modelled transfer time (the completion is pooled,
     so this must stay a plain module function, not a closure)."""
     ev.succeed(value)
 

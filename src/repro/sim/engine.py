@@ -17,19 +17,17 @@ creation order, so two runs with the same seeds produce identical traces.
 ``tests/test_golden_traces.py`` hashes canonicalised event streams of
 fixed-seed scenarios against committed digests.)
 
-The engine has two dispatch loops.  The **reference path** is the
-semantic ground truth: one priority queue of ``(time, seq, event)``
-popped in order.  The **fast path** (default, see
-:mod:`repro.sim.fastpath`) exploits an invariant of the reference
-formulation: an event scheduled *at the current instant* always carries
-a larger sequence number than every same-instant entry already in the
-heap, so it can be appended to a plain FIFO tail queue and dispatched
-after the heap drains past it -- same order, no ``heapq`` traffic.  The
-proof obligation (heap entries at instant ``t`` were pushed while
-``now < t`` and therefore precede every tail entry born at ``t``) is
-enforced by routing: in fast mode nothing with ``at == now`` ever enters
-the heap.  ``tests/test_fastpath_equivalence.py`` proves both paths
-byte-identical on every committed golden scenario.
+Dispatch follows the order of one priority queue of ``(time, seq,
+event)``, where ``seq`` is the creation sequence, but the loop never
+builds that queue.  An event scheduled *at the current instant* always
+follows every same-instant event already queued, so it goes on a plain
+FIFO tail queue; future events share one calendar bucket per distinct
+instant, and a heap holds only the distinct instants.  Each instant
+drains its bucket (entries born before it) before the tail (entries born
+at it) -- the same order as the single queue, with heap traffic per
+instant rather than per event.  ``tests/heap_reference.py`` keeps that
+single queue as a test-side oracle; the differential tests check every
+committed golden and random kernel programs against it.
 
 A process may abandon whatever another process is waiting on by calling
 :meth:`Process.interrupt`, which throws :class:`Interrupt` into it -- the
@@ -54,8 +52,6 @@ from typing import (
     Optional,
     Tuple,
 )
-
-from .fastpath import POOL_LIMIT, fastpath_default
 
 __all__ = [
     "Engine",
@@ -153,6 +149,11 @@ _CONSUMED = _ConsumedType()
 #: already does for the callbacks shape (no extra attribute load)
 _POOLED = _ConsumedType()
 
+#: resource completions kept for reuse per engine; only engine-internal
+#: events are pooled, and beyond this bound fired ones are dropped to the
+#: allocator (bounds memory on bursty runs)
+POOL_LIMIT = 1024
+
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -204,12 +205,7 @@ class Event:
         self._triggered = True
         self._value = value
         # inlined engine._ready: triggering is the hottest schedule site
-        engine = self.engine
-        if engine._fast:
-            engine._tail.append(self)
-        else:
-            engine._seq += 1
-            heapq.heappush(engine._heap, (engine.now, engine._seq, self))
+        self.engine._tail.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -267,30 +263,26 @@ class Timeout(Event):
         self.delay = delay = float(delay)
         now = engine.now
         at = now + delay
-        if engine._fast:
-            if at > now:
-                # calendar bucket: all entries of one exact instant share
-                # a FIFO deque, so the heap holds only distinct times
-                # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                if at == engine._last_at:
-                    engine._last_bucket.append(self)
-                else:
-                    buckets = engine._buckets
-                    bucket = buckets.get(at)
-                    if bucket is None:
-                        heapq.heappush(engine._times, at)
-                        buckets[at] = bucket = deque((self,))
-                    else:
-                        bucket.append(self)
-                    engine._last_at = at
-                    engine._last_bucket = bucket
+        if at > now:
+            # calendar bucket: all entries of one exact instant share a
+            # FIFO deque, so the heap holds only distinct times
+            # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
+            if at == engine._last_at:
+                engine._last_bucket.append(self)
             else:
-                # same-instant: FIFO tail keeps reference (time, seq)
-                # order without touching the heap (see module docstring)
-                engine._tail.append(self)
+                buckets = engine._buckets
+                bucket = buckets.get(at)
+                if bucket is None:
+                    heapq.heappush(engine._times, at)
+                    buckets[at] = bucket = deque((self,))
+                else:
+                    bucket.append(self)
+                engine._last_at = at
+                engine._last_bucket = bucket
         else:
-            engine._seq += 1
-            heapq.heappush(engine._heap, (at, engine._seq, self))
+            # same-instant: the FIFO tail keeps (time, seq) order without
+            # touching the heap (see module docstring)
+            engine._tail.append(self)
 
 
 class _Completion(Event):
@@ -299,7 +291,7 @@ class _Completion(Event):
     The resource layer schedules one completion per service interval
     (channel transfer, server request, pipe re-arm).  Those events are
     invisible to user code -- nobody holds them, waits on them, or reads
-    their value -- so the fast path recycles the objects through
+    their value -- so the engine recycles the objects through
     ``Engine._comp_pool`` instead of allocating a Timeout plus a closure
     per completion.  They are the only pooled objects: the engine owns
     them from creation to recycle, so reuse never depends on who else
@@ -516,14 +508,9 @@ class AnyOf(Event):
 
 
 class Engine:
-    """The event loop: a priority queue of (time, seq, event).
-
-    ``fastpath`` picks the dispatch loop: ``None`` (default) defers to
-    :func:`repro.sim.fastpath.fastpath_default` (environment /
-    ``forced_path`` override), ``True``/``False`` pin this engine.  Both
-    paths are dispatch-order identical (proven by the differential
-    harness in ``tests/test_fastpath_equivalence.py``); the reference
-    path exists as the semantic ground truth and debugging fallback.
+    """The event loop: dispatches in (time, creation sequence) order
+    through a same-instant tail FIFO and per-instant calendar buckets
+    (see the module docstring).
 
     With ``sanitize=True`` the engine additionally runs the *sim-race
     detector*: resources and user processes may annotate scheduled
@@ -538,39 +525,32 @@ class Engine:
     """
 
     __slots__ = (
-        "now", "_heap", "_seq", "_tail", "_times", "_buckets",
-        "_comp_pool", "_fast",
+        "now", "_tail", "_times", "_buckets", "_comp_pool",
         "_last_at", "_last_bucket",
         "_active_process", "_crash_on_unhandled", "_event_count",
         "sanitize", "races", "_san_window_t", "_san_window",
     )
 
-    def __init__(
-        self, sanitize: bool = False, fastpath: Optional[bool] = None
-    ) -> None:
+    def __init__(self, sanitize: bool = False) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
-        self._seq = 0
-        #: same-instant FIFO (fast path only): events scheduled at
-        #: exactly ``now`` dispatch from here after the heap drains past
-        #: the instant -- identical order, no heap traffic
+        #: same-instant FIFO: events scheduled at exactly ``now``
+        #: dispatch from here after the instant's calendar bucket drains
         self._tail: Deque[Event] = deque()
-        #: calendar buckets (fast path only): future events grouped by
-        #: exact timestamp; ``_times`` is a heap of the distinct
-        #: timestamps, so heap traffic scales with instants, not events
+        #: calendar buckets: future events grouped by exact timestamp;
+        #: ``_times`` is a heap of the distinct timestamps, so heap
+        #: traffic scales with instants, not events
         self._times: List[float] = []
         self._buckets: Dict[float, Deque[Event]] = {}
-        #: recycled resource completions (fast path only); the only
-        #: pooled objects -- user-visible events are never reused
+        #: recycled resource completions; the only pooled objects --
+        #: user-visible events are never reused
         self._comp_pool: List[_Completion] = []
         #: calendar bucket cache -- lock-step process groups
         #: schedule runs of timeouts at the same instant, so remember the
-        #: last bucket and skip the dict probe.  Time moves forward on
-        #: the fast path, so a future instant can never collide with a
-        #: bucket that was already drained.
+        #: last bucket and skip the dict probe.  Time only moves forward,
+        #: so a future instant can never collide with a bucket that was
+        #: already drained.
         self._last_at: float = float("-inf")
         self._last_bucket: Deque[Event] = deque()
-        self._fast = fastpath_default() if fastpath is None else bool(fastpath)
         self._active_process: Optional[Process] = None
         self._crash_on_unhandled = True
         self._event_count = 0
@@ -583,11 +563,6 @@ class Engine:
         # current timestamp, keyed by resource
         self._san_window_t: float = -1.0
         self._san_window: Dict[str, List[Tuple[str, bool, str]]] = {}
-
-    @property
-    def fastpath(self) -> bool:
-        """Which dispatch loop this engine runs (constructor-fixed)."""
-        return self._fast
 
     # -- sanitizer ----------------------------------------------------------
     def annotate(
@@ -607,8 +582,8 @@ class Engine:
         (e.g. two FIFO-server completions at one instant free lanes;
         which frees first cannot change which queued request is served
         next, the queue decides that).  Outside sanitize mode this is a
-        no-op returning the event unchanged, so call sites stay on the
-        fast path with a single attribute check.
+        no-op returning the event unchanged, so call sites pay a single
+        attribute check.
         """
         if self.sanitize:
             event._san = (
@@ -674,11 +649,7 @@ class Engine:
     # -- scheduling ----------------------------------------------------------
     def _ready(self, event: Event) -> None:
         """Queue a just-triggered event for callback dispatch *now*."""
-        if self._fast:
-            self._tail.append(event)
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (self.now, self._seq, event))
+        self._tail.append(event)
 
     def _complete_later(
         self, delay: float, fn: Callable[[Any, Any], None], a: Any, b: Any
@@ -686,120 +657,69 @@ class Engine:
         """Schedule ``fn(a, b)`` to run ``delay`` simulated seconds from
         now; returns the scheduled event (for sanitizer annotation).
 
-        The resource-completion primitive: on the fast path the event is
-        a recycled :class:`_Completion` (no Timeout, no closure, no
-        callback list); on the reference path it is a plain Timeout with
-        a callback, dispatch-order identical.  Callers must treat the
-        returned event as opaque -- it may be recycled after firing.
-        This and :class:`Timeout` are the only writers of the calendar
-        buckets; the resource layer schedules through here.
+        The resource-completion primitive: the event is a recycled
+        :class:`_Completion` (no Timeout, no closure, no callback list).
+        Callers must treat the returned event as opaque -- it may be
+        recycled after firing.  This and :class:`Timeout` are the only
+        writers of the calendar buckets; the resource layer schedules
+        through here.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay!r}")
-        if self._fast:
-            pool = self._comp_pool
-            comp = pool.pop() if pool else _Completion()
-            comp._fn = fn
-            comp._a = a
-            comp._b = b
-            now = self.now
-            at = now + delay
-            if at > now:
-                # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
-                if at == self._last_at:
-                    self._last_bucket.append(comp)
-                else:
-                    buckets = self._buckets
-                    bucket = buckets.get(at)
-                    if bucket is None:
-                        heapq.heappush(self._times, at)
-                        buckets[at] = bucket = deque((comp,))
-                    else:
-                        bucket.append(comp)
-                    self._last_at = at
-                    self._last_bucket = bucket
+        pool = self._comp_pool
+        comp = pool.pop() if pool else _Completion()
+        comp._fn = fn
+        comp._a = a
+        comp._b = b
+        now = self.now
+        at = now + delay
+        if at > now:
+            # reprolint: disable=D004 (bucket-cache key; exact identity is the contract)
+            if at == self._last_at:
+                self._last_bucket.append(comp)
             else:
-                self._tail.append(comp)
-            return comp
-        tmo = Timeout(self, delay)
-        tmo.add_callback(lambda _ev: fn(a, b))
-        return tmo
+                buckets = self._buckets
+                bucket = buckets.get(at)
+                if bucket is None:
+                    heapq.heappush(self._times, at)
+                    buckets[at] = bucket = deque((comp,))
+                else:
+                    bucket.append(comp)
+                self._last_at = at
+                self._last_bucket = bucket
+        else:
+            self._tail.append(comp)
+        return comp
 
     # -- main loop -----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Dispatch events until the queue drains or ``until`` is reached.
+        """Dispatch events until the queue drains or ``until`` is reached;
+        returns the simulated time when the loop stopped.
 
-        Returns the simulated time when the loop stopped.
-        """
-        if self._fast:
-            return self._run_fast(until)
-        return self._run_reference(until)
-
-    def _run_reference(self, until: Optional[float]) -> float:
-        """Ground-truth dispatch: pop the heap in (time, seq) order.
-
-        Never sees pooled events (``_complete_later`` uses Timeouts on
-        this path), so it stays the simplest possible formulation.
-        """
-        heap = self._heap
-        sanitize = self.sanitize
-        while heap:
-            at, _seq, event = heap[0]
-            if until is not None and at > until:
-                self.now = until
-                return self.now
-            heapq.heappop(heap)
-            if at < self.now:
-                raise SimulationError("time went backwards")
-            self.now = at
-            self._event_count += 1
-            if sanitize and event._san is not None:
-                self._san_check(at, event)
-            callbacks = event._callbacks
-            event._callbacks = _CONSUMED
-            if callbacks is None:
-                continue
-            if type(callbacks) is list:
-                for fn in callbacks:
-                    fn(event)
-            else:
-                callbacks(event)
-        return self.now
-
-    def _run_fast(self, until: Optional[float]) -> float:
-        """Flattened dispatch: drain the current instant's calendar
+        The loop is flattened: drain the current instant's calendar
         bucket first (its entries predate the instant, so their creation
         order precedes everything born at it), then the same-instant
-        tail FIFO, then advance to the next distinct time.
-
-        Order-identical to :meth:`_run_reference` -- see the module
-        docstring for the invariant and the differential harness for the
-        proof on every committed golden.  Only :class:`_Completion`
-        objects are recycled here; every other event is left to the
-        allocator once dispatched, whoever may still hold it.
+        tail FIFO, then advance to the next distinct time.  Only
+        :class:`_Completion` objects are recycled here; every other
+        event is left to the allocator once dispatched, whoever may
+        still hold it.  ``until`` earlier than ``now`` is an error: time
+        never moves backwards.
         """
+        now = self.now
+        if until is not None and until < now:
+            raise SimulationError(
+                f"run(until={until!r}) is earlier than now={now!r}"
+            )
         times = self._times
         buckets = self._buckets
         tail = self._tail
         comp_pool = self._comp_pool
         pop_time = heapq.heappop
         sanitize = self.sanitize
-        now = self.now
         count = self._event_count
         # the dispatch loop itself never runs inside a process step, so
         # the active process to restore after a fused send is loop-constant
         base_active = self._active_process
-        # replicate the reference path's backwards-until quirk exactly:
-        # with work pending, time is clamped to `until` without
-        # dispatching; with nothing pending, `now` is left alone
-        if until is not None and until < now:
-            if times or tail:
-                self.now = until
-                # time moved backwards: a future instant may now collide
-                # with an already-drained bucket, so drop the cache
-                self._last_at = float("-inf")
-                return until
-            return now
         #: the instant being drained (dispatches before `tail`)
         cur: Optional[Deque[Event]] = None
         try:

@@ -17,11 +17,11 @@ All resources carry ``__slots__``: a paper-scale run keeps tens of
 thousands of service completions in flight, and slotted instances cut
 both the per-object memory and the attribute-access cost on the engine
 hot path.  Service completions are scheduled through
-``Engine._complete_later`` -- a pooled, closure-free completion on the
-fast path and a plain ``Timeout`` + callback on the reference path,
-dispatch-order identical (see ``tests/test_fastpath_equivalence.py``).
-The engine alone knows its schedule format and owns the completion
-pool; the ``done`` events handed to callers are ordinary, never-reused
+``Engine._complete_later`` -- a pooled, closure-free completion (the
+test-side heap reference in ``tests/heap_reference.py`` swaps in a plain
+``Timeout`` + callback and must dispatch identically).  The engine alone
+knows its schedule format and owns the completion pool; the ``done``
+events handed to callers are ordinary, never-reused
 :class:`~repro.sim.engine.Event` objects.  Each completion carries a
 fresh bound method (``self._finish``) rather than one cached on the
 resource, which would tie every resource into a reference cycle; the
@@ -136,15 +136,13 @@ class SlotChannel(FifoQueueMixin):
 
     def _finish(self, done: Event, duration: float) -> None:
         self._busy -= 1
-        # inlined done.succeed(duration) for the common case: one service
-        # completion per transfer makes this a hot trigger site
-        engine = self.engine
-        if engine._fast and not done._triggered:
-            done._triggered = True
-            done._value = duration
-            engine._tail.append(done)
-        else:
-            done.succeed(duration)
+        # inlined done.succeed(duration): one service completion per
+        # transfer makes this a hot trigger site
+        if done._triggered:
+            raise SimulationError("event already triggered")
+        done._triggered = True
+        done._value = duration
+        self.engine._tail.append(done)
         self._drain()
 
 
@@ -218,13 +216,11 @@ class Server(FifoQueueMixin):
     def _finish(self, done: Event, duration: float) -> None:
         self._busy -= 1
         # inlined done.succeed(duration) -- see SlotChannel._finish
-        engine = self.engine
-        if engine._fast and not done._triggered:
-            done._triggered = True
-            done._value = duration
-            engine._tail.append(done)
-        else:
-            done.succeed(duration)
+        if done._triggered:
+            raise SimulationError("event already triggered")
+        done._triggered = True
+        done._value = duration
+        self.engine._tail.append(done)
         self._drain()
 
 

@@ -1,84 +1,109 @@
-"""Differential equivalence harness: the fast path IS the reference path.
+"""Differential equivalence harness: the engine IS the heap ordering.
 
-The engine's fast dispatch loop (calendar buckets, same-instant tail
-FIFO, pooled events, fused process wake-ups -- see
-``repro.sim.fastpath``) rewrites the hottest, most behaviour-critical
-code in the repo.  This harness is the proof obligation that it never
-changes behaviour:
+The engine's dispatch loop (calendar buckets, same-instant tail FIFO,
+pooled completions, fused process wake-ups -- see ``repro.sim.engine``)
+is the hottest, most behaviour-critical code in the repo.  Its contract
+is the order of one ``(time, creation sequence)`` priority queue, which
+``tests/heap_reference.py`` keeps as a test-side oracle.  This harness
+checks the engine against it:
 
-1. every committed golden scenario runs through BOTH paths and must
-   produce the committed digest byte-for-byte -- event stream, float
-   timestamps, and telemetry timeline alike (parametrized over
-   ``SCENARIOS``, so a newly committed golden is covered automatically);
-2. the same holds with the sanitizer forced on, with zero races -- the
-   fast path introduces no sanitizer blind spots;
+1. every committed golden scenario runs on the engine and on the heap
+   reference and must produce the committed digest byte-for-byte --
+   event stream, float timestamps, and telemetry timeline alike
+   (parametrized over ``SCENARIOS``, so a newly committed golden is
+   covered automatically);
+2. the same holds with the sanitizer forced on, with zero races;
 3. Hypothesis drives randomly generated kernel programs through both
-   paths and compares the full dispatch order;
+   and compares the full dispatch order;
 4. metamorphic checks: commutative same-instant submissions conserve
-   totals, and deliberately ambiguous schedules are still flagged on
-   the fast path (including zero-delay events, which the fast path
-   routes through the tail queue rather than the heap).
+   totals, and deliberately ambiguous schedules are flagged on both
+   (including zero-delay events, which the engine routes through the
+   tail queue rather than the calendar).
+
+Tests parametrized over ``fast`` run the engine for ``True`` and the
+heap reference for ``False``.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import os
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine
-from repro.sim.fastpath import fastpath_default, forced_path
+from repro.sim.engine import POOL_LIMIT, Engine, SimulationError
 from repro.sim.resources import Server, SlotChannel
 
+from tests.heap_reference import HeapTail, heap_reference
 from tests.test_golden_traces import GOLDEN_DIR, SCENARIOS, digest
 
 
-# -- 1: goldens through both paths --------------------------------------------
+def _path(fast):
+    """The engine as it is (``fast``) or the heap reference."""
+    return nullcontext() if fast else heap_reference()
+
+
+# -- 1: goldens on the engine and the heap reference -------------------------
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_identical_on_both_paths(name):
-    """Reference digest == fast digest == committed golden, including
-    the telemetry timeline hash when the scenario exports one."""
+    """Engine digest == heap-reference digest == committed golden,
+    including the telemetry timeline hash when the scenario exports
+    one."""
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    with forced_path(True):
-        fast = digest(SCENARIOS[name]())
-    with forced_path(False):
+    fast = digest(SCENARIOS[name]())
+    with heap_reference():
         ref = digest(SCENARIOS[name]())
-    assert fast == golden, f"{name}: fast path diverged from golden"
-    assert ref == golden, f"{name}: reference path diverged from golden"
+    assert fast == golden, f"{name}: engine diverged from golden"
+    assert ref == golden, f"{name}: heap reference diverged from golden"
+
+
+def test_heap_reference_is_live():
+    """The oracle really runs: every event of a golden scenario goes
+    through the heap stand-in, once each."""
+    name = "ior_write"
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    with heap_reference():
+        result = SCENARIOS[name]()
+    engine = result.iosys.engine
+    assert type(engine._tail) is HeapTail
+    assert engine._tail.heap == []
+    assert engine._tail.pushes == engine.event_count > 0
+    assert digest(result) == golden
 
 
 def _run_sanitized(name, fast):
-    """One golden scenario with every engine forced onto ``fast`` with
-    the sanitizer on (the scenario builders take no knobs by design)."""
-    orig = Engine.__init__
+    """One golden scenario with every engine sanitized (the scenario
+    builders take no knobs by design), on the engine or the heap
+    reference."""
+    with _path(fast):
+        orig = Engine.__init__
 
-    def forced(self, sanitize=False, fastpath=None):
-        orig(self, sanitize=True, fastpath=fastpath)
+        def forced(self, sanitize=False):
+            orig(self, sanitize=True)
 
-    Engine.__init__ = forced
-    try:
-        with forced_path(fast):
+        Engine.__init__ = forced
+        try:
             return SCENARIOS[name]()
-    finally:
-        Engine.__init__ = orig
+        finally:
+            Engine.__init__ = orig
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_fast_path_sanitized(name):
-    """Satellite CI gate: goldens through the fast path with the
-    sanitizer forced on -- byte-identical, zero races."""
+    """Goldens with the sanitizer forced on, on the engine and on the
+    heap reference: byte-identical, zero races."""
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    result = _run_sanitized(name, fast=True)
-    engine = result.iosys.engine
-    assert engine.fastpath is True
-    assert engine.sanitize is True
-    assert engine.races == [], "\n".join(r.format() for r in engine.races)
-    assert digest(result) == golden
+    for fast in (True, False):
+        result = _run_sanitized(name, fast)
+        engine = result.iosys.engine
+        assert (type(engine._tail) is HeapTail) is not fast
+        assert engine.sanitize is True
+        assert engine.races == [], "\n".join(r.format() for r in engine.races)
+        assert digest(result) == golden
 
 
 # -- 2: kernel-level differential fuzz ----------------------------------------
@@ -88,9 +113,9 @@ def _dispatch_log(fast, program):
     exact observable dispatch order: (time, process id, op index) for
     every step every process takes, plus final now/event_count."""
     log = []
-    with forced_path(fast):
+    with _path(fast):
         engine = Engine()
-        assert engine.fastpath is fast
+        assert (type(engine._tail) is HeapTail) is not fast
 
         shared = [engine.event() for _ in range(4)]
 
@@ -107,8 +132,16 @@ def _dispatch_log(fast, program):
                     if not ev.triggered:
                         ev.succeed((pid, i))
                     log.append(("s", engine.now, pid, i, None))
+                elif kind == "fail":
+                    ev = shared[arg]
+                    if not ev.triggered:
+                        ev.fail(RuntimeError(pid, i))
+                    log.append(("f", engine.now, pid, i, None))
                 elif kind == "wait":
-                    got = yield shared[arg]
+                    try:
+                        got = yield shared[arg]
+                    except RuntimeError as exc:
+                        got = ("raised", exc.args)
                     log.append(("w", engine.now, pid, i, got))
                 elif kind == "spawn":
                     child = engine.process(proc(100 + pid, arg))
@@ -142,6 +175,7 @@ _op = st.one_of(
     ),
     st.tuples(st.just("zero"), st.just(0)),
     st.tuples(st.just("trigger"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("fail"), st.integers(min_value=0, max_value=3)),
     st.tuples(st.just("wait"), st.integers(min_value=0, max_value=3)),
 )
 
@@ -155,9 +189,10 @@ _program = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(program=_program)
 def test_random_programs_dispatch_identically(program):
-    """Both loops observe the exact same (time, process, value) order on
-    arbitrary interleavings of timeouts, zero-delay wake-ups, shared
-    events, and child processes."""
+    """The engine and the heap reference observe the exact same (time,
+    process, value) order on arbitrary interleavings of timeouts,
+    zero-delay wake-ups, shared events (succeeded or failed), and child
+    processes."""
     assert _dispatch_log(True, program) == _dispatch_log(False, program)
 
 
@@ -169,11 +204,11 @@ def test_random_programs_dispatch_identically(program):
     slots=st.integers(min_value=1, max_value=5),
 )
 def test_slot_channel_matches_reference(nbytes, slots):
-    """Resource completions (pooled on the fast path) finish at
-    identical times with identical values on both paths."""
+    """Resource completions (pooled on the engine, plain timeouts on the
+    heap reference) finish at identical times with identical values."""
 
     def run(fast):
-        with forced_path(fast):
+        with _path(fast):
             engine = Engine()
             channel = SlotChannel(engine, bandwidth=1e9, slots=slots)
             finished = []
@@ -196,12 +231,12 @@ def test_same_instant_commutative_submissions_conserve_totals():
     """Same-instant transfers submitted in any order conserve the
     totals -- bytes moved, requests served, accumulated service time,
     completion count -- even though FIFO admission legitimately
-    reshuffles individual completion instants.  Both dispatch paths
-    agree on every order."""
+    reshuffles individual completion instants.  The engine and the
+    heap reference agree on every order."""
     sizes = [3 * 10**6, 1 * 10**6, 2 * 10**6, 2 * 10**6, 5 * 10**5]
 
     def run(order, fast):
-        with forced_path(fast):
+        with _path(fast):
             engine = Engine()
             channel = SlotChannel(engine, bandwidth=1e9, slots=2)
             server = Server(engine, rate=2e9, concurrency=2, overhead=1e-5)
@@ -228,7 +263,7 @@ def test_same_instant_commutative_submissions_conserve_totals():
     for order in orders:
         fast = run(order, fast=True)
         ref = run(order, fast=False)
-        assert fast == ref, "paths disagree on a permuted submission"
+        assert fast == ref, "engine and heap reference disagree"
         totals.append(fast)
     for other in totals[1:]:
         assert other[0] == totals[0][0]  # channel bytes
@@ -241,8 +276,8 @@ def test_same_instant_commutative_submissions_conserve_totals():
 @pytest.mark.parametrize("fast", [True, False])
 def test_sanitizer_flags_ambiguous_schedules(fast):
     """No blind spots: a genuinely ambiguous same-instant pair is
-    flagged identically on both paths."""
-    with forced_path(fast):
+    flagged identically on the engine and the heap reference."""
+    with _path(fast):
         engine = Engine(sanitize=True)
 
         def proc():
@@ -260,9 +295,9 @@ def test_sanitizer_flags_ambiguous_schedules(fast):
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_sanitizer_sees_tail_routed_zero_delay_races(fast):
-    """Zero-delay events never touch the heap on the fast path (they go
-    through the tail FIFO); the sanitizer must still see them."""
-    with forced_path(fast):
+    """Zero-delay events never touch the calendar on the engine (they
+    go through the tail FIFO); the sanitizer must still see them."""
+    with _path(fast):
         engine = Engine(sanitize=True)
 
         def proc():
@@ -282,21 +317,20 @@ def test_sanitizer_sees_tail_routed_zero_delay_races(fast):
 def test_user_held_events_are_never_recycled():
     """The refcount guard: an event the test still holds must keep its
     value forever, no matter how many pooled cycles follow it."""
-    with forced_path(True):
-        engine = Engine()
-        held = []
+    engine = Engine()
+    held = []
 
-        def proc():
-            for i in range(50):
-                tmo = engine.timeout(0.5, value=("keep", i))
-                held.append(tmo)
-                yield tmo
-                # churn: plenty of recycle-eligible timeouts in between
-                for _ in range(5):
-                    yield engine.timeout(0.125)
+    def proc():
+        for i in range(50):
+            tmo = engine.timeout(0.5, value=("keep", i))
+            held.append(tmo)
+            yield tmo
+            # churn: plenty of recycle-eligible timeouts in between
+            for _ in range(5):
+                yield engine.timeout(0.125)
 
-        engine.process(proc())
-        engine.run()
+    engine.process(proc())
+    engine.run()
     assert len(held) == len({id(t) for t in held})
     for i, tmo in enumerate(held):
         assert tmo.value == ("keep", i)
@@ -305,32 +339,29 @@ def test_user_held_events_are_never_recycled():
 def test_pool_reuse_is_real_but_bounded():
     """Resource completions ARE recycled (the pool works) and the pool
     never exceeds its bound, even after a burst of simultaneous ones."""
-    from repro.sim.fastpath import POOL_LIMIT
+    engine = Engine()
+    channel = SlotChannel(engine, bandwidth=1e6, slots=1)
+    server = Server(engine, rate=1e6, concurrency=1, overhead=1e-4)
 
-    with forced_path(True):
-        engine = Engine()
-        channel = SlotChannel(engine, bandwidth=1e6, slots=1)
-        server = Server(engine, rate=1e6, concurrency=1, overhead=1e-4)
+    def proc():
+        for _ in range(1000):
+            yield channel.transfer(100.0)
+            yield server.request(100.0)
 
-        def proc():
-            for _ in range(1000):
-                yield channel.transfer(100.0)
-                yield server.request(100.0)
+    engine.process(proc())
+    engine.run()
+    # steady state: one completion in flight at a time -> tiny
+    # pool, heavy reuse
+    assert 1 <= len(engine._comp_pool) <= POOL_LIMIT
+    assert engine.event_count >= 4000
 
-        engine.process(proc())
-        engine.run()
-        # steady state: one completion in flight at a time -> tiny
-        # pool, heavy reuse
-        assert 1 <= len(engine._comp_pool) <= POOL_LIMIT
-        assert engine.event_count >= 4000
-
-        # a burst: more completions fire at one instant than the pool
-        # may keep
-        wide = Server(engine, rate=1e6, concurrency=2 * POOL_LIMIT)
-        for _ in range(2 * POOL_LIMIT):
-            wide.request(100.0)
-        engine.run()
-        assert 1 <= len(engine._comp_pool) <= POOL_LIMIT
+    # a burst: more completions fire at one instant than the pool
+    # may keep
+    wide = Server(engine, rate=1e6, concurrency=2 * POOL_LIMIT)
+    for _ in range(2 * POOL_LIMIT):
+        wide.request(100.0)
+    engine.run()
+    assert 1 <= len(engine._comp_pool) <= POOL_LIMIT
 
 
 @pytest.mark.parametrize("fast", [True, False])
@@ -342,7 +373,7 @@ def test_finished_run_leaves_no_cyclic_garbage(fast):
     nothing (and peak memory does not wait on a gen-2 pass)."""
 
     def run_program():
-        engine = Engine(fastpath=fast)
+        engine = Engine()
         channel = SlotChannel(engine, bandwidth=1e6, slots=2)
         server = Server(engine, rate=1e6, concurrency=2, overhead=1e-4)
 
@@ -378,23 +409,24 @@ def test_finished_run_leaves_no_cyclic_garbage(fast):
         assert [c.value for c in clients] == list(range(8))
         assert server.requests_served == 8
 
-    gc.collect()
-    gc.disable()
-    try:
-        run_program()
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # the patching itself stays outside the measured window
+    with _path(fast):
+        gc.collect()
+        gc.disable()
+        try:
+            run_program()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
-# -- 5: quirk parity -----------------------------------------------------------
+# -- 5: time never moves backwards --------------------------------------------
 
 @pytest.mark.parametrize("fast", [True, False])
-def test_backwards_until_quirk_is_identical(fast):
-    """run(until < now) clamps time backwards when work is pending and
-    leaves it alone when idle -- a reference-path quirk the fast path
-    replicates exactly."""
-    with forced_path(fast):
+def test_run_until_before_now_is_an_error(fast):
+    """run(until < now) raises and leaves the engine as it was, with
+    work pending or idle."""
+    with _path(fast):
         engine = Engine()
 
         def proc():
@@ -404,24 +436,13 @@ def test_backwards_until_quirk_is_identical(fast):
         engine.process(proc())
         engine.run(until=6.0)
         assert engine.now == pytest.approx(6.0)
-        engine.run(until=2.0)  # pending work: clamps backwards
-        assert engine.now == pytest.approx(2.0)
+        with pytest.raises(SimulationError, match="earlier than now"):
+            engine.run(until=2.0)  # pending work
+        assert engine.now == pytest.approx(6.0)
         engine.run()
         assert engine.now == pytest.approx(10.0)
-        engine.run(until=3.0)  # idle: now is left alone
+        with pytest.raises(SimulationError, match="earlier than now"):
+            engine.run(until=3.0)  # idle
         assert engine.now == pytest.approx(10.0)
-
-
-@pytest.mark.skipif(
-    os.environ.get("REPRO_SIM_FASTPATH", "").strip().lower()
-    in ("0", "false", "off", "reference", "ref"),
-    reason="environment pins the reference path (the CI reference leg)",
-)
-def test_default_path_is_fast():
-    """The knob: fast by default, reference on demand."""
-    assert fastpath_default() is True
-    with forced_path(False):
-        assert fastpath_default() is False
-        assert Engine().fastpath is False
-    assert Engine().fastpath is True
-    assert Engine(fastpath=False).fastpath is False
+        engine.run(until=10.0)  # until == now is fine
+        assert engine.now == pytest.approx(10.0)
